@@ -60,7 +60,11 @@ class Observation:
 
 
 class Trajectory:
-    """Sliding window of (action, observation) pairs; older entries evicted."""
+    """Sliding window of (action, observation) pairs; older entries evicted.
+
+    Each pair is copied once on append and never mutated, so snapshots
+    share the pair arrays.
+    """
 
     def __init__(self, window: int = 8, pairs=None):
         if window < 1:
@@ -69,14 +73,14 @@ class Trajectory:
         self._pairs: deque = deque(pairs or [], maxlen=window)
 
     def append(self, action: np.ndarray, obs: np.ndarray):
-        self._pairs.append((np.asarray(action, dtype=np.float64),
-                            np.asarray(obs, dtype=np.float64)))
+        self._pairs.append((np.array(action, dtype=np.float64),
+                            np.array(obs, dtype=np.float64)))
 
     def pairs(self) -> list:
         return list(self._pairs)
 
     def snapshot(self) -> "Trajectory":
-        return Trajectory(self.window, [(a.copy(), o.copy()) for a, o in self._pairs])
+        return Trajectory(self.window, self._pairs)
 
     def __len__(self):
         return len(self._pairs)
@@ -217,22 +221,47 @@ class BeliefNetwork:
 
     # -- forward pieces -----------------------------------------------------
 
+    def _pack(self, trajs: list) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs of B trajectories as a left-aligned (B, window, pair_dim)
+        array, with a (B, window, 1) 0/1 mask of the positions present."""
+        window = self.cfg.window
+        x = np.zeros((len(trajs), window, 2 + self.cfg.obs_dim))
+        mask = np.zeros((len(trajs), window, 1))
+        for b, traj in enumerate(trajs):
+            pairs = traj.pairs()
+            if len(pairs) > window:
+                raise ValueError(
+                    f"trajectory of {len(pairs)} pairs exceeds the window of {window}")
+            if pairs:
+                actions, observations = zip(*pairs)
+                x[b, :len(pairs), :2] = actions
+                x[b, :len(pairs), 2:] = observations
+                mask[b, :len(pairs)] = 1.0
+        return x, mask
+
+    def _encode(self, trajs: list, params) -> Tensor:
+        """(B, belief_dim): each pair linearly projected, scaled by its
+        position's learned scalar and averaged over the pairs present.
+        An empty trajectory encodes to the zero vector."""
+        x, mask = self._pack(trajs)
+        proj = Tensor(x) @ params["traj.w_pair"] + params["traj.b_pair"]
+        proj = proj * params["traj.pos"].reshape(self.cfg.window, 1)
+        return proj.mean(axis=1, mask=mask)
+
+    def _q_head(self, enc: Tensor, embeddings, params) -> Tensor:
+        """Local Q-values of encodings (..., belief_dim) and prompt
+        embeddings (..., 2) whose leading axes broadcast."""
+        w1 = params["q.w1"]
+        d = self.cfg.belief_dim
+        emb = Tensor(np.asarray(embeddings, dtype=np.float64))
+        h = (enc @ w1[:d] + emb @ w1[d:] + params["q.b1"]).relu()
+        return h @ params["q.w2"] + params["q.b2"]
+
     def encode_trajectory(self, traj: Trajectory, params=None) -> Tensor:
         """Window of pairs, each linearly projected, pooled with learned
         per-position scalars. Empty trajectory -> zero vector."""
         params = params if params is not None else self.params
-        pairs = traj.pairs()
-        if not pairs:
-            return Tensor(np.zeros(self.cfg.belief_dim))
-        w = params["traj.w_pair"]
-        b = params["traj.b_pair"]
-        pos = params["traj.pos"]
-        acc = None
-        for k, (action, obs) in enumerate(pairs):
-            x = Tensor(np.concatenate([action, obs]))
-            proj = (x @ w + b) * pos[k]
-            acc = proj if acc is None else acc + proj
-        return acc * (1.0 / len(pairs))
+        return self._encode([traj], params).reshape(self.cfg.belief_dim)
 
     def compute_belief(self, traj: Trajectory, obs: np.ndarray, params=None) -> Tensor:
         params = params if params is not None else self.params
@@ -256,11 +285,12 @@ class BeliefNetwork:
         return PromptEmbedding(float(temp.value), float(pen.value))
 
     def local_q(self, traj: Trajectory, embedding: np.ndarray, params=None) -> Tensor:
+        return self.local_q_batch([traj], [embedding], params).reshape(())
+
+    def local_q_batch(self, trajs: list, embeddings, params=None) -> Tensor:
+        """(B,) local Q-values of B (trajectory, prompt embedding) pairs."""
         params = params if params is not None else self.params
-        enc = self.encode_trajectory(traj, params)
-        x = concat([enc, Tensor(np.asarray(embedding, dtype=np.float64))])
-        h = (x @ params["q.w1"] + params["q.b1"]).relu()
-        return h.dot(params["q.w2"]) + params["q.b2"]
+        return self._q_head(self._encode(trajs, params), embeddings, params)
 
     def _target_params(self):
         return _FrozenView(self.target)
@@ -275,11 +305,16 @@ class BeliefNetwork:
         return np.array([(t, p) for t in ts for p in ps])
 
     def max_target_q(self, next_traj: Trajectory, k: int | None = None) -> float:
+        return float(self._max_target_qs([next_traj], k)[0])
+
+    def _max_target_qs(self, next_trajs: list, k: int | None = None) -> np.ndarray:
+        """Per trajectory, the target Q head's maximum over the action grid,
+        from one (B, grid) forward."""
         params = self._target_params()
-        best = -np.inf
-        for e in self.action_grid(k):
-            best = max(best, float(self.local_q(next_traj, e, params).value))
-        return best
+        enc = self._encode(next_trajs, params)
+        q = self._q_head(enc.reshape(len(next_trajs), 1, self.cfg.belief_dim),
+                         self.action_grid(k), params)
+        return q.value.max(axis=1)
 
     # -- losses -------------------------------------------------------------
 
@@ -290,14 +325,12 @@ class BeliefNetwork:
             raise ValueError("td_loss on an empty batch")
         if not (0.0 <= gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1)")
-        total = None
-        for tr in batch:
-            bootstrap = 0.0 if tr.terminal else gamma * self.max_target_q(tr.next_traj)
-            target = tr.reward + bootstrap
-            residual = self.local_q(tr.traj, tr.action) - target
-            sq = residual.square()
-            total = sq if total is None else total + sq
-        return total * (1.0 / len(batch))
+        target = np.array([tr.reward for tr in batch], dtype=np.float64)
+        live = [i for i, tr in enumerate(batch) if not tr.terminal]
+        if live:
+            target[live] += gamma * self._max_target_qs([batch[i].next_traj for i in live])
+        q = self.local_q_batch([tr.traj for tr in batch], [tr.action for tr in batch])
+        return (q - target).square().mean()
 
     def soft_update(self, tau: float):
         soft_update(self.params, self.target, tau)

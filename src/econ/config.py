@@ -13,9 +13,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 
 def _simplex(v):
@@ -289,6 +290,21 @@ def export_plot_data(data, kind: str, path):
                 lines.append(f"{row.episode} {row.mean_r:.10g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def json_line(record: dict) -> str:
+    """One JSON-lines row. JSON has no Infinity or NaN, so a non-finite
+    float is written as null."""
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        if isinstance(x, float) and not math.isfinite(x):
+            return None
+        return x
+
+    return json.dumps(finite(record), allow_nan=False) + "\n"
 
 
 def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None):

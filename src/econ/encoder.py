@@ -24,20 +24,24 @@ class BeliefEncoder:
         attention_params(self.params, "enc", rng, in_dim=belief_dim,
                          heads=heads, model_dim=model_dim)
 
-    def encode_group(self, beliefs: list, params: ParamStore | None = None) -> Tensor:
-        """Aggregate N same-dimension belief vectors into one group vector."""
-        if not beliefs:
+    def encode_group(self, beliefs, params: ParamStore | None = None) -> Tensor:
+        """Aggregate N same-dimension belief vectors into one group vector.
+
+        `beliefs` is a list of N vectors, or an array of shape
+        (..., N, belief_dim) that gives one group vector per leading index.
+        """
+        if len(beliefs) == 0:
             raise ValueError("encode_group needs at least one belief")
         params = params if params is not None else self.params
-        rows = [b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=np.float64))
-                for b in beliefs]
-        for r in rows:
-            if r.value.shape != (self.belief_dim,):
-                raise ValueError(
-                    f"belief of shape {r.value.shape}, expected ({self.belief_dim},)")
-        x = stack(rows)
+        if any(isinstance(b, Tensor) for b in beliefs):
+            x = stack(beliefs)
+        else:
+            x = Tensor(np.asarray(beliefs, dtype=np.float64))
+        if x.value.ndim < 2 or x.value.shape[-1] != self.belief_dim:
+            raise ValueError(
+                f"beliefs of shape {x.value.shape}, expected (..., N, {self.belief_dim})")
         attended = multi_head_attention(x, x, x, params, self.heads, prefix="enc")
-        return attended.mean_rows()
+        return attended.mean(axis=-2)
 
 
 def encoder_loss(total_td, local_tds: list, lam: float):

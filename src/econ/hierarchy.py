@@ -9,14 +9,13 @@ step, and the ordered report proves it.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backends import GenerationRequest, ROLE_COORD_FINAL, ROLE_COORD_STRATEGY, truncate_strategy
-from .config import RunConfig
+from .config import RunConfig, json_line
 from .kernel import adam_step, cosine_sim
 from .mixing import MixingBatchItem, MixingNetwork
 from .orchestrator import EarlyStopConfig, Orchestrator
@@ -237,12 +236,12 @@ class HierOrchestrator:
                 stop, info = self.hier_converged(rnd, report, stop_cfg)
                 history.append((rnd, report, info))
                 if log_fh:
-                    log_fh.write(json.dumps({
+                    log_fh.write(json_line({
                         "round": t,
                         "parallel_clusters": rnd.parallel_clusters,
                         "cluster_rewards": rnd.cluster_rewards,
                         "order": report["order"],
-                        "stop": info}) + "\n")
+                        "stop": info}))
                 if stop:
                     break
         finally:

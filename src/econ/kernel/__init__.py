@@ -4,7 +4,6 @@ from .ops import (
     cosine_sim,
     cosine_sim_node,
     finite_diff_check,
-    linear,
     multi_head_attention,
     sigmoid,
     softmax,
@@ -24,7 +23,6 @@ __all__ = [
     "cosine_sim",
     "cosine_sim_node",
     "finite_diff_check",
-    "linear",
     "multi_head_attention",
     "sigmoid",
     "softmax",

@@ -32,17 +32,22 @@ def cosine_sim(u, v) -> float:
 
 
 def cosine_sim_node(u: Tensor, v: Tensor) -> Tensor:
-    """Differentiable cosine similarity between 1-D tensors.
+    """Differentiable cosine similarity over the last axis; leading axes
+    broadcast.
 
-    A zero-norm side degrades to a constant 0 (no gradient path), matching
-    the scalar helper's convention.
+    A pair where either side has zero norm degrades to a constant 0 (no
+    gradient path), matching the scalar helper's convention.
     """
-    nu = float(np.linalg.norm(u.value))
-    nv = float(np.linalg.norm(v.value))
-    if nu == 0.0 or nv == 0.0:
+    zero_u = np.linalg.norm(u.value, axis=-1) == 0.0
+    zero_v = np.linalg.norm(v.value, axis=-1) == 0.0
+    live = ~(zero_u | zero_v)
+    if not live.all():
         warnings.warn("cosine_sim on a zero-norm vector; returning 0", RuntimeWarning, stacklevel=2)
-        return Tensor(0.0)
-    return u.dot(v) / (u.norm() * v.norm())
+    # a zero-norm side gets squared norm 1, so sqrt stays differentiable;
+    # its pair is then masked to 0
+    nu = ((u * u).sum(axis=-1) + zero_u).sqrt()
+    nv = ((v * v).sum(axis=-1) + zero_v).sqrt()
+    return (u * v).sum(axis=-1) / (nu * nv) * live
 
 
 def softmax(v, scale: float = 1.0) -> np.ndarray:
@@ -78,60 +83,40 @@ def multi_head_attention(queries: Tensor, keys: Tensor, values: Tensor,
                          scale: float | None = None) -> Tensor:
     """Scaled dot-product attention with `heads` heads.
 
-    queries: (Nq, d_in); keys/values: (Nk, d_in). Heads are concatenated and
-    passed through the output projection, giving (Nq, model_dim).
+    queries: (..., Nq, d_in); keys/values: (..., Nk, d_in), with the same
+    leading axes. The per-head projections are concatenated into one
+    matrix per role, heads are split off by a reshape, and the heads'
+    outputs, concatenated in head order, pass through the output
+    projection, giving (..., Nq, model_dim).
     """
-    if queries.value.ndim != 2 or keys.value.ndim != 2 or values.value.ndim != 2:
-        raise ValueError("attention inputs must be rank-2 (slots x features)")
-    if keys.value.shape[0] != values.value.shape[0]:
+    shapes = [t.value.shape for t in (queries, keys, values)]
+    if min(len(s) for s in shapes) < 2:
+        raise ValueError("attention inputs must be at least rank-2 (slots x features)")
+    if shapes[1][-2] != shapes[2][-2]:
         raise ValueError(
-            f"keys ({keys.value.shape}) and values ({values.value.shape}) "
-            "disagree on slot count")
-    head_outputs = []
-    for h in range(heads):
-        try:
-            w_q = params[f"{prefix}.w_q{h}"]
-            w_k = params[f"{prefix}.w_k{h}"]
-            w_v = params[f"{prefix}.w_v{h}"]
-        except KeyError as exc:
-            raise ValueError(f"missing attention parameter {exc} for head {h}") from exc
-        if queries.value.shape[1] != w_q.value.shape[0]:
-            raise ValueError(
-                f"queries ({queries.value.shape}) incompatible with "
-                f"{prefix}.w_q{h} ({w_q.value.shape})")
-        q = queries @ w_q
-        k = keys @ w_k
-        v = values @ w_v
-        s = scale if scale is not None else 1.0 / math.sqrt(q.value.shape[1])
-        scores = (q @ k.T) * s
-        weights = scores.softmax(axis=-1)
-        head_outputs.append(weights @ v)
-    if len(head_outputs) == 1:
-        merged = head_outputs[0]
-    else:
-        merged = _hconcat(head_outputs)
+            f"keys ({shapes[1]}) and values ({shapes[2]}) disagree on slot count")
+    try:
+        proj = {role: concat([params[f"{prefix}.w_{role}{h}"] for h in range(heads)], axis=1)
+                for role in "qkv"}
+    except KeyError as exc:
+        raise ValueError(f"missing attention parameter {exc}") from exc
+    if shapes[0][-1] != proj["q"].value.shape[0]:
+        raise ValueError(
+            f"queries ({shapes[0]}) incompatible with "
+            f"{prefix}.w_q0 ({params[f'{prefix}.w_q0'].value.shape})")
+
+    def split_heads(x: Tensor, role: str) -> Tensor:
+        """(..., N, d_in) -> (..., heads, N, head_dim)."""
+        y = x @ proj[role]
+        *lead, n, width = y.value.shape
+        return y.reshape(*lead, n, heads, width // heads).swapaxes(-3, -2)
+
+    q, k, v = split_heads(queries, "q"), split_heads(keys, "k"), split_heads(values, "v")
+    *lead, _, nq, head_dim = q.value.shape
+    s = scale if scale is not None else 1.0 / math.sqrt(head_dim)
+    out = ((q @ k.swapaxes(-1, -2)) * s).softmax(axis=-1) @ v  # (..., heads, Nq, head_dim)
+    merged = out.swapaxes(-3, -2).reshape(*lead, nq, heads * head_dim)
     return merged @ params[f"{prefix}.w_o"]
-
-
-def _hconcat(blocks: list[Tensor]) -> Tensor:
-    """Concatenate rank-2 tensors along the feature axis."""
-    sizes = [b.value.shape[1] for b in blocks]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g, bs=blocks, offs=offsets):
-        for b, lo, hi in zip(bs, offs[:-1], offs[1:]):
-            if b.requires_grad:
-                b._accumulate(g[:, lo:hi])
-
-    value = np.concatenate([b.value for b in blocks], axis=1)
-    return Tensor(value, _parents=tuple(blocks), _backward=back, name="hconcat")
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = x @ w if x.value.ndim > 0 else w * x
-    if b is not None:
-        out = out + b
-    return out
 
 
 def finite_diff_check(loss_fn, store: ParamStore, h: float = 1e-5,

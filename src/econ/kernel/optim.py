@@ -35,16 +35,29 @@ def adam_step(store: ParamStore, cfg: OptimizerConfig):
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     for name, p in store.items():
+        if p.grad is None and cfg.weight_decay == 0 and store.moments_are_zero(name):
+            continue  # zero gradient on zero moments: the update is exactly 0
         g = p.grad if p.grad is not None else np.zeros_like(p.value)
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
         m, v = store.moments(name)
+        # m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g g;
+        # value -= lr (m / bc1) / (sqrt(v / bc2) + eps), in two scratch buffers
+        tmp, den = np.empty_like(m), np.empty_like(v)
+        np.multiply(g, 1.0 - cfg.beta1, out=tmp)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += tmp
+        np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+        tmp *= g
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        v += tmp
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += cfg.epsilon
+        np.divide(m, bc1, out=tmp)
+        tmp /= den
         if cfg.weight_decay > 0:
             p.value -= cfg.learning_rate * cfg.weight_decay * p.value
-        p.value -= cfg.learning_rate * update
+        tmp *= cfg.learning_rate
+        p.value -= tmp
     store.zero_grads()

@@ -38,8 +38,6 @@ class ParamStore:
             raise KeyError(f"parameter '{name}' already exists")
         t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, name=name)
         self._params[name] = t
-        self._m[name] = np.zeros_like(t.value)
-        self._v[name] = np.zeros_like(t.value)
         return t
 
     def create(self, name: str, shape: tuple, rng: np.random.Generator, fan_in: int | None = None) -> Tensor:
@@ -61,7 +59,16 @@ class ParamStore:
         return self._params.items()
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Adam's first and second moment buffers, allocated as zeros on
+        first use: a store that is never stepped, or a parameter that
+        never gets a gradient, holds none."""
+        if name not in self._m:
+            value = self._params[name].value
+            self._m[name], self._v[name] = np.zeros_like(value), np.zeros_like(value)
         return self._m[name], self._v[name]
+
+    def moments_are_zero(self, name: str) -> bool:
+        return name not in self._m or not (self._m[name].any() or self._v[name].any())
 
     def num_params(self) -> int:
         return sum(t.value.size for t in self._params.values())

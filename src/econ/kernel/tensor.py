@@ -25,6 +25,12 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
+def _is_basic_index(idx) -> bool:
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(p, (int, np.integer, slice)) or p is None or p is Ellipsis
+               for p in parts)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -41,6 +47,9 @@ class Tensor:
     `value` is a float64 ndarray; `grad` is lazily allocated with the same
     shape. Leaf tensors created with requires_grad=True are parameters.
     """
+
+    # numpy defers binary operators to Tensor (`array - tensor` is a Tensor)
+    __array_ufunc__ = None
 
     def __init__(self, value, requires_grad: bool = False, _parents=(), _backward=None, name: str | None = None):
         self.value = _check_finite(_as_array(value), name or "tensor")
@@ -71,8 +80,9 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += grad
+            self.grad = np.array(np.broadcast_to(grad, self.value.shape), dtype=np.float64)
+        else:
+            self.grad += grad
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -130,25 +140,27 @@ class Tensor:
         return Tensor(out_val, _parents=(self,), _backward=back, name="reciprocal")
 
     def __matmul__(self, other):
+        """numpy matmul: 1-D operands are promoted, leading axes broadcast."""
         other = _lift(other)
 
         def back(g, a=self, b=other):
             av, bv = a.value, b.value
-            g = np.asarray(g)
+            a2 = av[None, :] if av.ndim == 1 else av
+            b2 = bv[:, None] if bv.ndim == 1 else bv
+            g2 = np.asarray(g)
+            if bv.ndim == 1:
+                g2 = np.expand_dims(g2, -1)
+            if av.ndim == 1:
+                g2 = np.expand_dims(g2, -2)
             if a.requires_grad:
-                if av.ndim == 1 and bv.ndim == 2:
-                    a._accumulate(bv @ g)
-                elif av.ndim == 2 and bv.ndim == 1:
-                    a._accumulate(np.outer(g, bv))
-                else:
-                    a._accumulate(g @ bv.T)
+                ga = g2 @ np.swapaxes(b2, -1, -2)
+                a._accumulate(_unbroadcast(ga, a2.shape).reshape(av.shape))
             if b.requires_grad:
-                if av.ndim == 1 and bv.ndim == 2:
-                    b._accumulate(np.outer(av, g))
-                elif av.ndim == 2 and bv.ndim == 1:
-                    b._accumulate(av.T @ g)
+                if b2.ndim == 2:  # one weight shared by every leading index
+                    gb = a2.reshape(-1, a2.shape[-1]).T @ g2.reshape(-1, g2.shape[-1])
                 else:
-                    b._accumulate(av.T @ g)
+                    gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
+                b._accumulate(gb.reshape(bv.shape))
 
         return Tensor(self.value @ other.value, _parents=(self, other), _backward=back, name="matmul")
 
@@ -156,38 +168,66 @@ class Tensor:
         def back(g, a=self, idx=idx):
             if a.requires_grad:
                 full = np.zeros_like(a.value)
-                np.add.at(full, idx, g)
+                if _is_basic_index(idx):  # a view: no entry repeats
+                    full[idx] = g
+                else:
+                    np.add.at(full, idx, g)
                 a._accumulate(full)
 
         return Tensor(self.value[idx], _parents=(self,), _backward=back, name="index")
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self):
+    def sum(self, axis: int | None = None):
+        """Sum over `axis`, or over every axis when it is None."""
+        def back(g, a=self, axis=axis):
+            if a.requires_grad:
+                if axis is not None:
+                    g = np.expand_dims(g, axis)
+                a._accumulate(np.broadcast_to(g, a.value.shape))
+
+        return Tensor(self.value.sum(axis=axis), _parents=(self,), _backward=back, name="sum")
+
+    def mean(self, axis: int | None = None, mask=None):
+        """Mean over `axis`, or over every axis when it is None.
+
+        `mask` (0/1, broadcastable to the value) keeps only the entries
+        where it is 1; a slice with no kept entry means to 0.
+        """
+        if mask is None:
+            out_val = self.value.mean(axis=axis)
+            weights = np.size(out_val) / self.value.size
+        else:
+            mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), self.value.shape)
+            weights = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
+            out_val = (self.value * weights).sum(axis=axis)
+
+        def back(g, a=self, axis=axis, w=weights):
+            if a.requires_grad:
+                if axis is not None:
+                    g = np.expand_dims(g, axis)
+                a._accumulate(np.broadcast_to(g * w, a.value.shape))
+
+        return Tensor(out_val, _parents=(self,), _backward=back, name="mean")
+
+    # -- shape --------------------------------------------------------------
+
+    def reshape(self, *shape):
+        shape = shape[0] if len(shape) == 1 and isinstance(shape[0], tuple) else shape
+
         def back(g, a=self):
             if a.requires_grad:
-                a._accumulate(np.full_like(a.value, float(g)))
+                a._accumulate(g.reshape(a.value.shape))
 
-        return Tensor(self.value.sum(), _parents=(self,), _backward=back, name="sum")
+        return Tensor(self.value.reshape(shape), _parents=(self,), _backward=back, name="reshape")
 
-    def mean(self):
-        n = self.value.size
-
-        def back(g, a=self, n=n):
+    def swapaxes(self, axis1: int, axis2: int):
+        def back(g, a=self):
             if a.requires_grad:
-                a._accumulate(np.full_like(a.value, float(g) / n))
+                a._accumulate(np.swapaxes(g, axis1, axis2))
 
-        return Tensor(self.value.mean(), _parents=(self,), _backward=back, name="mean")
-
-    def mean_rows(self):
-        """Mean over the leading axis of a rank-2 tensor."""
-        n = self.value.shape[0]
-
-        def back(g, a=self, n=n):
-            if a.requires_grad:
-                a._accumulate(np.broadcast_to(g / n, a.value.shape).copy())
-
-        return Tensor(self.value.mean(axis=0), _parents=(self,), _backward=back, name="mean_rows")
+        return Tensor(np.swapaxes(self.value, axis1, axis2), _parents=(self,), _backward=back,
+                      name="swapaxes")
 
     # -- nonlinearities -----------------------------------------------------
 
@@ -255,19 +295,8 @@ class Tensor:
 
         return Tensor(out_val, _parents=(self,), _backward=back, name="softmax")
 
-    @property
-    def T(self) -> "Tensor":
-        def back(g, a=self):
-            if a.requires_grad:
-                a._accumulate(g.T)
-
-        return Tensor(self.value.T, _parents=(self,), _backward=back, name="transpose")
-
     def dot(self, other: "Tensor") -> "Tensor":
         return (self * other).sum()
-
-    def norm(self) -> "Tensor":
-        return self.square().sum().sqrt()
 
     def detach(self) -> "Tensor":
         return Tensor(self.value.copy())
@@ -314,18 +343,17 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def concat(tensors: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors along their only axis."""
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate tensors along an existing axis."""
     tensors = [_lift(t) for t in tensors]
-    sizes = [t.value.size for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    bounds = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
 
-    def back(g, ts=tensors, offs=offsets):
-        for t, lo, hi in zip(ts, offs[:-1], offs[1:]):
+    def back(g, ts=tensors, bounds=bounds, axis=axis):
+        for t, part in zip(ts, np.split(g, bounds, axis=axis)):
             if t.requires_grad:
-                t._accumulate(g[lo:hi].reshape(t.value.shape))
+                t._accumulate(part)
 
-    value = np.concatenate([t.value.ravel() for t in tensors])
+    value = np.concatenate([t.value for t in tensors], axis=axis)
     return Tensor(value, _parents=tuple(tensors), _backward=back, name="concat")
 
 

@@ -75,69 +75,100 @@ class MixingNetwork:
         self.target = p.clone()
 
     # -- forward pieces -----------------------------------------------------
+    #
+    # The networks run over arrays with any leading batch axes: local Q-values
+    # (..., N), prompt embeddings (..., N, 2), group vectors (..., group_dim).
+    # The list-of-agents methods are views of the same forward.
+
+    def _local_qs(self, local_qs) -> Tensor:
+        q = local_qs if isinstance(local_qs, Tensor) else Tensor(
+            np.asarray(local_qs, dtype=np.float64))
+        if q.value.ndim < 1 or q.value.shape[-1] != self.n_agents:
+            raise ValueError(
+                f"expected {self.n_agents} local Q-values, got shape {q.value.shape}")
+        return q
+
+    def _attend(self, embeddings, params) -> Tensor:
+        """(..., N, 2) prompt embeddings -> (..., N, attn_dim)."""
+        x = Tensor(np.asarray(embeddings, dtype=np.float64))
+        return multi_head_attention(x, x, x, params, self.heads, prefix="emb")
+
+    def _fuse(self, w: Tensor, group, params) -> Tensor:
+        """F_i = relu(linear([w_i; E])) for (..., N, attn_dim) w; the group
+        vector E (..., group_dim) is shared across agents, so its share of
+        the linear map is computed once per leading index."""
+        e = group if isinstance(group, Tensor) else Tensor(np.asarray(group, dtype=np.float64))
+        fw = params["fuse.w"]
+        a = self.attn_dim
+        e_part = e @ fw[a:]
+        e_part = e_part.reshape(e_part.value.shape[:-1] + (1, self.feat_dim))
+        return (w @ fw[:a] + e_part + params["fuse.b"]).relu()
+
+    def _q_tot(self, q: Tensor, features: Tensor, params) -> Tensor:
+        """Layered non-negative combination of (..., N) local Q-values, with
+        the agent-pooled (..., N, feat_dim) features driving biases and
+        1+relu gains."""
+        fbar = features.mean(axis=-2)
+        b1 = fbar @ params["hyp.w_b1"] + params["hyp.b_b1"]
+        gain = (fbar @ params["hyp.w_g"] + params["hyp.b_g"]).relu() + 1.0
+        h1 = (q @ params["qpath.w1"] + b1).relu() * gain
+        b2 = fbar @ params["hyp.w_b2"] + params["hyp.b_b2"]
+        return h1 @ params["qpath.w2"] + b2
+
+    def forward_batch(self, local_qs, embeddings, groups, params=None) -> tuple[Tensor, Tensor]:
+        """Q_tot (...,) and features (..., N, feat_dim) over leading axes."""
+        params = params if params is not None else self.params
+        q = self._local_qs(local_qs)
+        features = self._fuse(self._attend(embeddings, params), groups, params)
+        return self._q_tot(q, features, params), features
 
     def self_attend_embeddings(self, embeddings: np.ndarray, params=None) -> list[Tensor]:
         """Prompt embeddings (N, 2) -> one intermediate vector per agent."""
         params = params if params is not None else self.params
-        x = Tensor(np.asarray(embeddings, dtype=np.float64))
-        out = multi_head_attention(x, x, x, params, self.heads, prefix="emb")
+        out = self._attend(embeddings, params)
         return [out[i] for i in range(out.value.shape[0])]
 
     def fuse_features(self, w_list: list[Tensor], group, params=None) -> list[Tensor]:
         """F_i = relu(linear([w_i; E])); E is shared across agents."""
-        from .kernel import concat
-
         params = params if params is not None else self.params
-        e = group if isinstance(group, Tensor) else Tensor(np.asarray(group, dtype=np.float64))
-        return [
-            (concat([w, e]) @ params["fuse.w"] + params["fuse.b"]).relu()
-            for w in w_list
-        ]
+        features = self._fuse(stack(w_list), group, params)
+        return [features[i] for i in range(len(w_list))]
 
     def q_tot(self, local_qs, features: list[Tensor], params=None) -> Tensor:
         """Layered non-negative combination of the local Q-values, with the
         pooled features driving biases and 1+relu gains."""
         params = params if params is not None else self.params
-        q = local_qs if isinstance(local_qs, Tensor) else Tensor(
-            np.asarray(local_qs, dtype=np.float64))
-        if q.value.shape != (self.n_agents,):
-            raise ValueError(
-                f"expected {self.n_agents} local Q-values, got shape {q.value.shape}")
+        q = self._local_qs(local_qs)
         if len(features) != self.n_agents:
             raise ValueError(
                 f"expected {self.n_agents} features, got {len(features)}")
-        fbar = stack(features).mean_rows()
-        b1 = fbar @ params["hyp.w_b1"] + params["hyp.b_b1"]
-        gain = (fbar @ params["hyp.w_g"] + params["hyp.b_g"]).relu() + 1.0
-        h1 = (q @ params["qpath.w1"] + b1).relu() * gain
-        b2 = fbar.dot(params["hyp.w_b2"]) + params["hyp.b_b2"]
-        return h1.dot(params["qpath.w2"]) + b2
+        return self._q_tot(q, stack(features), params)
 
     def forward(self, local_qs, embeddings, group, params=None) -> tuple[Tensor, list[Tensor]]:
-        w_list = self.self_attend_embeddings(embeddings, params)
-        features = self.fuse_features(w_list, group, params)
-        return self.q_tot(local_qs, features, params), features
+        q_tot, features = self.forward_batch(local_qs, embeddings, group, params)
+        return q_tot, [features[i] for i in range(self.n_agents)]
 
     # -- losses -------------------------------------------------------------
+
+    def _sd_terms(self, features: Tensor, c_embed, params) -> Tensor:
+        """Per leading index, sum over agents of (1 - cos(F_i sd.w, c))^2 for
+        features (..., N, feat_dim) and final-output embeddings (..., c_dim)."""
+        c = np.asarray(c_embed, dtype=np.float64)
+        if c.shape[-1:] != (self.c_dim,):
+            raise ValueError(
+                f"final-output embedding of shape {c.shape}, expected (..., {self.c_dim})")
+        if (np.linalg.norm(c, axis=-1) == 0.0).any():
+            warnings.warn("sd_loss against a zero final-output embedding",
+                          RuntimeWarning, stacklevel=3)
+        cos = cosine_sim_node(features @ params["sd.w"], Tensor(c[..., None, :]))
+        return (1.0 - cos).square().sum(axis=-1)
 
     def sd_loss(self, features: list[Tensor], c_embed: np.ndarray,
                 lam_b: float, params=None) -> Tensor:
         """Alignment of per-agent features (projected into the output
         embedding space) with the final-output embedding."""
         params = params if params is not None else self.params
-        c = np.asarray(c_embed, dtype=np.float64)
-        if c.shape != (self.c_dim,):
-            raise ValueError(
-                f"final-output embedding of shape {c.shape}, expected ({self.c_dim},)")
-        if np.linalg.norm(c) == 0.0:
-            warnings.warn("sd_loss against a zero final-output embedding",
-                          RuntimeWarning, stacklevel=2)
-        c_node = Tensor(c)
-        out = None
-        for f in features:
-            term = (1.0 - cosine_sim_node(f @ params["sd.w"], c_node)).square()
-            out = term if out is None else out + term
-        return out * lam_b
+        return self._sd_terms(stack(features), c_embed, params) * lam_b
 
     def mixing_loss(self, batch: list[MixingBatchItem], gamma: float,
                     lam_m: float, lam_b: float) -> Tensor:
@@ -145,25 +176,25 @@ class MixingNetwork:
         local/global consistency, meaned over the batch."""
         if not batch:
             raise ValueError("mixing_loss on an empty batch")
-        frozen = _FrozenView(self.target)
-        total = None
-        for item in batch:
-            q_tot, features = self.forward(item.local_qs, item.embeddings, item.group)
-            if item.terminal or item.next_local_q_maxes is None:
-                bootstrap = 0.0
-            else:
-                tgt, _ = self.forward(item.next_local_q_maxes, item.next_embeddings,
-                                      item.next_group, params=frozen)
-                bootstrap = gamma * float(tgt.value)
-            td = (item.r_tot + bootstrap - q_tot).square()
-            sd = self.sd_loss(features, item.c_embed, lam_b)
-            cons = None
-            for i in range(self.n_agents):
-                term = (float(item.local_qs[i]) - q_tot).square()
-                cons = term if cons is None else cons + term
-            loss = td + sd + lam_m * cons
-            total = loss if total is None else total + loss
-        return total * (1.0 / len(batch))
+        local_qs = np.stack([item.local_qs for item in batch])
+        q_tot, features = self.forward_batch(
+            local_qs, np.stack([item.embeddings for item in batch]),
+            np.stack([item.group for item in batch]))
+        target = np.array([item.r_tot for item in batch], dtype=np.float64)
+        live = [k for k, item in enumerate(batch)
+                if not item.terminal and item.next_local_q_maxes is not None]
+        if live:
+            tgt, _ = self.forward_batch(
+                np.stack([batch[k].next_local_q_maxes for k in live]),
+                np.stack([batch[k].next_embeddings for k in live]),
+                np.stack([batch[k].next_group for k in live]),
+                params=_FrozenView(self.target))
+            target[live] += gamma * tgt.value
+        td = (target - q_tot).square()
+        sd = self._sd_terms(features, np.stack([item.c_embed for item in batch]),
+                            self.params)
+        cons = (local_qs - q_tot.reshape(len(batch), 1)).square().sum(axis=-1)
+        return (td + sd * lam_b + cons * lam_m).mean()
 
     # -- monotonicity machinery --------------------------------------------
 
@@ -180,18 +211,16 @@ class MixingNetwork:
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         rng = rng if rng is not None else np.random.default_rng(0)
-        min_deriv = np.inf
-        for _ in range(n_samples):
-            qs = rng.normal(size=self.n_agents)
-            emb = rng.uniform(0.1, 1.0, size=(self.n_agents, 2))
-            group = rng.normal(size=self.group_dim)
-            base, _ = self.forward(qs, emb, group)
-            base_v = float(base.value)
-            for i in range(self.n_agents):
-                bumped = qs.copy()
-                bumped[i] += delta
-                up, _ = self.forward(bumped, emb, group)
-                min_deriv = min(min_deriv, (float(up.value) - base_v) / delta)
+        n = self.n_agents
+        draws = [(rng.normal(size=n), rng.uniform(0.1, 1.0, size=(n, 2)),
+                  rng.normal(size=self.group_dim)) for _ in range(n_samples)]
+        qs, emb, group = (np.stack(x) for x in zip(*draws))
+        # row 0 of each sample is the base state, row 1 + i bumps agent i
+        bumped = qs[:, None, :] + np.vstack([np.zeros(n), delta * np.eye(n)])
+        out, _ = self.forward_batch(
+            bumped, np.repeat(emb[:, None], n + 1, axis=1),
+            np.repeat(group[:, None], n + 1, axis=1))
+        min_deriv = ((out.value[:, 1:] - out.value[:, :1]) / delta).min()
         neg_weights = any(
             float(self.params[name].value.min()) < 0 for name in Q_PATH_NAMES)
         return {

@@ -9,7 +9,6 @@ all mutation happens in the optimization phase, which runs every
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ from .beliefs import (
     Transition,
     _FrozenView,
 )
-from .config import MetricsRow, RunConfig, subsystem_seed
+from .config import MetricsRow, RunConfig, json_line, subsystem_seed
 from .encoder import BeliefEncoder, encoder_loss
 from .kernel import OptimizerConfig, Tensor, adam_step
 from .mixing import MixingBatchItem, MixingNetwork
@@ -194,15 +193,16 @@ class Orchestrator:
 
         group = self.encoder.encode_group(beliefs).value.copy()
 
+        # degenerate: no valid utterance, or no valid final output to
+        # reward the utterances against
         valid = [u for u in utterances if u.valid]
         if not valid:
             final = Utterance.invalid(self.embed_dim)
-            degenerate = True
         else:
             summary = "\n".join(u.text for u in valid)
             final = self.coordinator.generate(
                 GenerationRequest(ROLE_COORD_FINAL, question, summary))
-            degenerate = False
+        degenerate = not final.valid
 
         breakdowns, rewards = [], []
         for i, u in enumerate(utterances):
@@ -279,11 +279,27 @@ class Orchestrator:
         episodes = st.cached_episodes[-batch_size:]
         trans = [st.buffers[i].sample_latest(batch_size)
                  for i in range(len(self.agents))]
-        mix_items = self._mixing_batch(episodes, trans)
+        # post-TD local Q-values (B, N), shared by the encoder and mixing steps
+        local_qs = np.stack([
+            net.local_q_batch([t.traj for t in trans[i]],
+                              [t.action for t in trans[i]]).value
+            for i, net in enumerate(self.belief_nets)], axis=1)
+        embeddings = np.stack([[pe.as_array() for pe in rec.prompt_embeddings]
+                               for rec in episodes])
+        r_tot = np.array([float(np.mean(rec.rewards)) for rec in episodes])
+        mix_items = [
+            MixingBatchItem(local_qs=local_qs[k], embeddings=embeddings[k],
+                            group=rec.group, r_tot=r_tot[k],
+                            c_embed=rec.final_embedding, terminal=True)
+            for k, rec in enumerate(episodes)]
 
         # encoder step: total TD recomputed with the group vector on the
         # encoder graph and mixing parameters frozen
-        l_e = self._encoder_step(episodes, trans, l_tds)
+        enc_loss = self._encoder_loss(episodes, local_qs, embeddings, r_tot, l_tds)
+        self.encoder.params.zero_grads()
+        enc_loss.backward()
+        adam_step(self.encoder.params, self.opt)
+        l_e = float(enc_loss.value)
         order.append("encoder")
 
         # mixing step with projection and target soft update
@@ -313,40 +329,17 @@ class Orchestrator:
         return {"skipped": False, "l_td": l_tds, "l_e": l_e, "l_mix": l_mix,
                 "l_tot": l_tot, "order": order}
 
-    def _local_qs(self, rec, trans, k: int) -> np.ndarray:
-        return np.array([
-            float(self.belief_nets[i].local_q(
-                trans[i][k].traj, rec.prompt_embeddings[i].as_array()).value)
-            for i in range(len(self.agents))])
-
-    def _mixing_batch(self, episodes: list, trans: list) -> list:
-        items = []
-        for k, rec in enumerate(episodes):
-            emb = np.stack([pe.as_array() for pe in rec.prompt_embeddings])
-            items.append(MixingBatchItem(
-                local_qs=self._local_qs(rec, trans, k), embeddings=emb,
-                group=rec.group, r_tot=float(np.mean(rec.rewards)),
-                c_embed=rec.final_embedding, terminal=True))
-        return items
-
-    def _encoder_step(self, episodes: list, trans: list, l_tds: list) -> float:
-        frozen_mix = _FrozenView(self.mixing.params)
-        total = None
-        for k, rec in enumerate(episodes):
-            group_node = self.encoder.encode_group(rec.beliefs)
-            local_qs = self._local_qs(rec, trans, k)
-            emb = np.stack([pe.as_array() for pe in rec.prompt_embeddings])
-            w_list = self.mixing.self_attend_embeddings(emb, frozen_mix)
-            features = self.mixing.fuse_features(w_list, group_node, frozen_mix)
-            q_tot = self.mixing.q_tot(local_qs, features, frozen_mix)
-            td = (float(np.mean(rec.rewards)) - q_tot).square()
-            total = td if total is None else total + td
-        total = total * (1.0 / len(episodes))
-        loss = encoder_loss(total, [float(x) for x in l_tds], self.cfg.lambda_e)
-        self.encoder.params.zero_grads()
-        loss.backward()
-        adam_step(self.encoder.params, self.opt)
-        return float(loss.value)
+    def _encoder_loss(self, episodes: list, local_qs: np.ndarray,
+                      embeddings: np.ndarray, r_tot: np.ndarray,
+                      l_tds: list) -> Tensor:
+        """Total TD with each episode's group vector on the encoder graph
+        and the mixing parameters frozen, plus lambda_e times the local TDs.
+        `local_qs` (B, N) and `embeddings` (B, N, 2) are per episode."""
+        groups = self.encoder.encode_group(np.stack([rec.beliefs for rec in episodes]))
+        q_tot, _ = self.mixing.forward_batch(local_qs, embeddings, groups,
+                                             _FrozenView(self.mixing.params))
+        td = (r_tot - q_tot).square().mean()
+        return encoder_loss(td, [float(x) for x in l_tds], self.cfg.lambda_e)
 
     # -- early stopping ------------------------------------------------------
 
@@ -415,12 +408,12 @@ class Orchestrator:
                 rows.append(row)
                 reports.append(report)
                 if log_fh:
-                    log_fh.write(json.dumps({
+                    log_fh.write(json_line({
                         "episode": ep, "question": question,
                         "strategy": record.strategy,
                         "rewards": [float(r) for r in record.rewards],
                         "degenerate": record.degenerate,
-                        "stop": stop_info}) + "\n")
+                        "stop": stop_info}))
                 if stop:
                     break
         finally:

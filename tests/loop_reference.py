@@ -1,0 +1,153 @@
+"""Per-item reference implementations of the batched losses.
+
+Each function builds its graph the way the networks did before batch,
+window position and attention head became array axes: one Python loop
+iteration per transition, per trajectory position, per agent and per
+head. The equivalence tests use them as the oracle for the batched code.
+"""
+
+import math
+import warnings
+
+import numpy as np
+
+from econ.beliefs import _FrozenView
+from econ.kernel import Tensor, concat, stack
+
+
+def attention(queries, keys, values, params, heads, prefix):
+    """Multi-head attention on rank-2 inputs, one head at a time."""
+    outputs = []
+    for h in range(heads):
+        q = queries @ params[f"{prefix}.w_q{h}"]
+        k = keys @ params[f"{prefix}.w_k{h}"]
+        v = values @ params[f"{prefix}.w_v{h}"]
+        scores = (q @ k.swapaxes(0, 1)) * (1.0 / math.sqrt(q.value.shape[1]))
+        outputs.append(scores.softmax(axis=-1) @ v)
+    return concat(outputs, axis=1) @ params[f"{prefix}.w_o"]
+
+
+# -- belief network ------------------------------------------------------------
+
+
+def encode_trajectory(net, traj, params):
+    pairs = traj.pairs()
+    if not pairs:
+        return Tensor(np.zeros(net.cfg.belief_dim))
+    acc = None
+    for k, (action, obs) in enumerate(pairs):
+        x = Tensor(np.concatenate([action, obs]))
+        proj = (x @ params["traj.w_pair"] + params["traj.b_pair"]) * params["traj.pos"][k]
+        acc = proj if acc is None else acc + proj
+    return acc * (1.0 / len(pairs))
+
+
+def local_q(net, traj, embedding, params):
+    x = concat([encode_trajectory(net, traj, params), Tensor(np.asarray(embedding, float))])
+    h = (x @ params["q.w1"] + params["q.b1"]).relu()
+    return h.dot(params["q.w2"]) + params["q.b2"]
+
+
+def max_target_q(net, traj):
+    frozen = _FrozenView(net.target)
+    return max(float(local_q(net, traj, e, frozen).value) for e in net.action_grid())
+
+
+def td_loss(net, batch, gamma):
+    total = None
+    for tr in batch:
+        bootstrap = 0.0 if tr.terminal else gamma * max_target_q(net, tr.next_traj)
+        sq = (local_q(net, tr.traj, tr.action, net.params) - (tr.reward + bootstrap)).square()
+        total = sq if total is None else total + sq
+    return total * (1.0 / len(batch))
+
+
+# -- encoder and mixing network -----------------------------------------------
+
+
+def encode_group(enc, beliefs, params):
+    x = stack([Tensor(np.asarray(b, float)) for b in beliefs])
+    attended = attention(x, x, x, params, enc.heads, "enc")
+    return stack([attended[i] for i in range(len(beliefs))]).mean(axis=0)
+
+
+def mixing_forward(mix, local_qs, embeddings, group, params):
+    """(Q_tot, per-agent feature list) for one item."""
+    x = Tensor(np.asarray(embeddings, float))
+    attended = attention(x, x, x, params, mix.heads, "emb")
+    e = group if isinstance(group, Tensor) else Tensor(np.asarray(group, float))
+    features = [(concat([attended[i], e]) @ params["fuse.w"] + params["fuse.b"]).relu()
+                for i in range(mix.n_agents)]
+    fbar = stack(features).mean(axis=0)
+    q = Tensor(np.asarray(local_qs, float))
+    b1 = fbar @ params["hyp.w_b1"] + params["hyp.b_b1"]
+    gain = (fbar @ params["hyp.w_g"] + params["hyp.b_g"]).relu() + 1.0
+    h1 = (q @ params["qpath.w1"] + b1).relu() * gain
+    b2 = fbar.dot(params["hyp.w_b2"]) + params["hyp.b_b2"]
+    return h1.dot(params["qpath.w2"]) + b2, features
+
+
+def _cosine(u, v):
+    if np.linalg.norm(u.value) == 0.0 or np.linalg.norm(v.value) == 0.0:
+        warnings.warn("cosine_sim on a zero-norm vector; returning 0", RuntimeWarning)
+        return Tensor(0.0)
+    return u.dot(v) / (u.square().sum().sqrt() * v.square().sum().sqrt())
+
+
+def mixing_loss(mix, batch, gamma, lam_m, lam_b):
+    frozen = _FrozenView(mix.target)
+    total = None
+    for item in batch:
+        q_tot, features = mixing_forward(mix, item.local_qs, item.embeddings,
+                                         item.group, mix.params)
+        bootstrap = 0.0
+        if not item.terminal and item.next_local_q_maxes is not None:
+            tgt, _ = mixing_forward(mix, item.next_local_q_maxes, item.next_embeddings,
+                                    item.next_group, frozen)
+            bootstrap = gamma * float(tgt.value)
+        td = (item.r_tot + bootstrap - q_tot).square()
+        c = Tensor(np.asarray(item.c_embed, float))
+        sd = None
+        for f in features:
+            term = (1.0 - _cosine(f @ mix.params["sd.w"], c)).square()
+            sd = term if sd is None else sd + term
+        cons = None
+        for i in range(mix.n_agents):
+            term = (float(item.local_qs[i]) - q_tot).square()
+            cons = term if cons is None else cons + term
+        loss = td + sd * lam_b + lam_m * cons
+        total = loss if total is None else total + loss
+    return total * (1.0 / len(batch))
+
+
+def encoder_td(orch, episodes, local_qs, embeddings, r_tot):
+    """Mean over episodes of (r_tot - Q_tot)^2, group vectors on the
+    encoder graph and the mixing parameters frozen."""
+    frozen = _FrozenView(orch.mixing.params)
+    total = None
+    for k, rec in enumerate(episodes):
+        group = encode_group(orch.encoder, rec.beliefs, orch.encoder.params)
+        q_tot, _ = mixing_forward(orch.mixing, local_qs[k], embeddings[k], group, frozen)
+        td = (float(r_tot[k]) - q_tot).square()
+        total = td if total is None else total + td
+    return total * (1.0 / len(episodes))
+
+
+def gradients(loss_fn, store):
+    """(loss value, {name: gradient}) of one backward pass; untouched
+    parameters get a zero gradient."""
+    store.zero_grads()
+    loss = loss_fn()
+    loss.backward()
+    grads = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.value))
+             for name, t in store.items()}
+    store.zero_grads()
+    return float(loss.value), grads
+
+
+def assert_same_loss_and_gradients(batched_fn, reference_fn, store, tol=1e-10):
+    value, grads = gradients(batched_fn, store)
+    ref_value, ref_grads = gradients(reference_fn, store)
+    assert abs(value - ref_value) <= tol
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=tol, err_msg=name)

@@ -14,7 +14,9 @@ from econ.beliefs import (
     belief_entropy,
     soft_update,
 )
-from econ.kernel import ParamStore, finite_diff_check
+from econ.kernel import ParamStore, Tensor, finite_diff_check
+
+import loop_reference as ref
 
 
 OBS_DIM = 10
@@ -176,6 +178,65 @@ class TestTDLoss:
             net.td_loss([], gamma=0.9)
         with pytest.raises(ValueError):
             net.td_loss([make_transition()], gamma=1.0)
+
+
+def mixed_batch():
+    """Trajectory lengths 0..4 (window 4), terminal and non-terminal items."""
+    rng = np.random.default_rng(42)
+    batch = []
+    for k in range(7):
+        batch.append(Transition(
+            traj=make_traj(k % 5, seed=k), obs=rng.normal(size=OBS_DIM),
+            action=rng.uniform(0.1, 1.0, size=2), reward=float(rng.uniform(0, 1)),
+            next_traj=make_traj((k + 2) % 5, seed=50 + k),
+            next_obs=rng.normal(size=OBS_DIM), terminal=(k % 3 == 0)))
+    return batch
+
+
+class TestBatchedPath:
+    def test_encode_trajectory_matches_position_loop(self):
+        net = make_net(seed=21)
+        probe = np.random.default_rng(0).normal(size=6)
+        for n in range(5):
+            traj = make_traj(n, seed=n)
+            ref.assert_same_loss_and_gradients(
+                lambda: (net.encode_trajectory(traj) * probe).sum(),
+                lambda: (ref.encode_trajectory(net, traj, net.params) * probe).sum(),
+                net.params)
+
+    def test_td_loss_matches_item_loop(self):
+        net = make_net(seed=22)
+        net.target["q.w2"].value += 0.3  # a target head that differs from the live one
+        batch = mixed_batch()
+        ref.assert_same_loss_and_gradients(
+            lambda: net.td_loss(batch, gamma=0.9),
+            lambda: ref.td_loss(net, batch, gamma=0.9), net.params)
+
+    def test_max_target_q_matches_grid_loop(self):
+        net = make_net(seed=23)
+        for n in range(5):
+            traj = make_traj(n, seed=n)
+            assert net.max_target_q(traj) == pytest.approx(
+                ref.max_target_q(net, traj), abs=1e-12)
+
+    @pytest.mark.parametrize("terminal", [True, False])
+    def test_td_loss_node_count_independent_of_batch(self, monkeypatch, terminal):
+        net = make_net(seed=24)
+        init = Tensor.__init__
+        count = [0]
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        nodes = []
+        for size in (1, 16):
+            batch = [make_transition(seed=i, terminal=terminal) for i in range(size)]
+            count[0] = 0
+            net.td_loss(batch, gamma=0.9)
+            nodes.append(count[0])
+        assert nodes[0] == nodes[1]
 
 
 class TestSoftUpdate:

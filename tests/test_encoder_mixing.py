@@ -5,6 +5,8 @@ from econ.encoder import BeliefEncoder, encoder_loss
 from econ.kernel import Tensor, finite_diff_check
 from econ.mixing import MixingBatchItem, MixingNetwork, Q_PATH_NAMES
 
+import loop_reference as ref
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -197,3 +199,47 @@ class TestMixingLosses:
         np.testing.assert_allclose(
             net.target["qpath.w2"].value,
             0.5 * net.params["qpath.w2"].value + 0.5 * before)
+
+
+class TestBatchedPath:
+    def test_encode_group_over_leading_axes(self):
+        enc = BeliefEncoder(belief_dim=5, model_dim=8, heads=2, rng=rng(30))
+        beliefs = rng(31).normal(size=(2, 3, 4, 5))
+        batched = enc.encode_group(beliefs).value
+        assert batched.shape == (2, 3, 8)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(
+                batched[idx], ref.encode_group(enc, list(beliefs[idx]), enc.params).value,
+                rtol=0, atol=1e-12)
+
+    def test_mixing_loss_matches_item_loop(self):
+        net = make_mixing(32)
+        net.target["fuse.b"].value += 0.2  # a target that differs from the live net
+        batch = [make_item(seed=40 + i, terminal=(i % 2 == 0)) for i in range(5)]
+        batch[3].c_embed = np.zeros(6)
+        with pytest.warns(RuntimeWarning):
+            ref.assert_same_loss_and_gradients(
+                lambda: net.mixing_loss(batch, gamma=0.9, lam_m=0.1, lam_b=0.2),
+                lambda: ref.mixing_loss(net, batch, gamma=0.9, lam_m=0.1, lam_b=0.2),
+                net.params)
+
+    def test_encoder_loss_matches_episode_loop(self):
+        from econ.backends import MockBackend
+        from econ.config import RunConfig
+        from econ.orchestrator import Orchestrator
+
+        cfg = RunConfig(seed=0, episodes=8, agents=3, d=16, d_b=8, heads=2,
+                        mlp_width=16, window=4, buffer=8, batch=4, grid_k=2)
+        orch = Orchestrator(cfg, MockBackend(seed=50, embed_dim=32),
+                            [MockBackend(seed=100 + i, embed_dim=32) for i in range(3)])
+        episodes = [orch.run_inference(f"q{i}") for i in range(4)]
+        r = rng(33)
+        local_qs = r.normal(size=(4, 3))
+        embeddings = r.uniform(0.1, 1.0, size=(4, 3, 2))
+        r_tot = r.uniform(0, 1, size=4)
+        l_tds = [0.3, 0.2, 0.1]
+        ref.assert_same_loss_and_gradients(
+            lambda: orch._encoder_loss(episodes, local_qs, embeddings, r_tot, l_tds),
+            lambda: encoder_loss(ref.encoder_td(orch, episodes, local_qs, embeddings, r_tot),
+                                 l_tds, cfg.lambda_e),
+            orch.encoder.params)

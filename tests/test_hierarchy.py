@@ -25,6 +25,13 @@ def small_cfg(**over):
     return RunConfig(**base)
 
 
+def strict_loads(line):
+    """json.loads that rejects the non-JSON constants Infinity and NaN."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(line, parse_constant=reject)
+
+
 def make_hier(n_agents=9, k=3, cfg=None):
     cfg = cfg or small_cfg(agents=n_agents)
     gc = MockBackend(seed=50, embed_dim=EMBED)
@@ -80,7 +87,8 @@ class TestHierRound:
         log = tmp_path / "rounds.jsonl"
         history = hier.train(["q"], rounds=3, round_log_path=log)
         assert len(history) == 3
-        entries = [json.loads(l) for l in open(log)]
+        entries = [strict_loads(l) for l in open(log)]
+        assert entries[0]["stop"]["delta_c"] is None  # infinite: no previous output
         for e in entries:
             order = e["order"]
             assert order[-1] == "global_mixing"

@@ -20,6 +20,8 @@ from econ.kernel import (
 )
 from econ.kernel.params import CHECKPOINT_VERSION
 
+import loop_reference as ref
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -93,6 +95,74 @@ class TestTensorOps:
         assert finite_diff_check(loss, store) < 1e-6
 
 
+class TestArrayOps:
+    """Finite-difference checks of the ops that batch over array axes."""
+
+    def _store(self, **shapes):
+        store = ParamStore()
+        for k, (name, shape) in enumerate(shapes.items()):
+            store.create(name, shape, rng(100 + k))
+        return store
+
+    def test_batched_matmul(self):
+        store = self._store(x=(2, 3, 4), w=(4, 5), v=(4,), b=(1, 5, 2), y=(4,))
+
+        def loss():
+            x, w, v, b, y = (store[n] for n in ("x", "w", "v", "b", "y"))
+            return (((x @ w) @ b).square().sum()                 # (2,3,4)@(4,5)@(1,5,2)
+                    + (x @ v).square().sum()                     # (2,3,4)@(4,)
+                    + (y @ x.swapaxes(1, 2)).square().sum()      # (4,)@(2,4,3)
+                    + y @ v)                                     # (4,)@(4,)
+
+        assert finite_diff_check(loss, store) < 1e-6
+
+    def test_reshape_swapaxes_and_slices(self):
+        store = self._store(x=(2, 3, 4), w=(7, 4))
+
+        def loss():
+            x = store["x"].swapaxes(0, 2).reshape(4, 6)
+            return ((x @ store["w"][1:]) * store["w"][0]).square().sum()
+
+        assert finite_diff_check(loss, store) < 1e-6
+
+    def test_concat_along_axis(self):
+        store = self._store(a=(2, 3), b=(2, 1), c=(2, 2))
+        weights = rng(7).normal(size=(2, 6))
+
+        def loss():
+            return (concat([store["a"], store["b"], store["c"]], axis=1).square()
+                    * weights).sum()
+
+        assert finite_diff_check(loss, store) < 1e-6
+
+    def test_sum_and_mean_over_axis(self):
+        store = self._store(x=(3, 4, 2))
+        weights = rng(8).normal(size=(3, 2))
+
+        def loss():
+            x = store["x"]
+            return ((x.sum(axis=1) * weights).square().sum()
+                    + (x.mean(axis=-2) * weights).sum() + x.mean(axis=0).square().sum())
+
+        assert finite_diff_check(loss, store) < 1e-6
+
+    def test_masked_mean(self):
+        store = self._store(x=(3, 4, 2))
+        mask = np.array([[1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]], float)[:, :, None]
+        out = store["x"].mean(axis=1, mask=mask)
+        x = store["x"].value
+        np.testing.assert_allclose(out.value[0], x[0, :2].mean(axis=0))
+        np.testing.assert_array_equal(out.value[1], np.zeros(2))  # nothing kept
+        np.testing.assert_allclose(out.value[2], x[2].mean(axis=0))
+
+        weights = rng(9).normal(size=(3, 2))
+
+        def loss():
+            return (store["x"].mean(axis=1, mask=mask).square() * weights).sum()
+
+        assert finite_diff_check(loss, store) < 1e-6
+
+
 class TestScalarHelpers:
     def test_sigmoid_known_values(self):
         assert sigmoid(0.0) == pytest.approx(0.5)
@@ -129,6 +199,25 @@ class TestScalarHelpers:
             return (1.0 - cosine_sim_node(store["u"], Tensor(v))).square()
 
         assert finite_diff_check(loss, store) < 1e-6
+
+    def test_cosine_sim_node_rows(self):
+        store = ParamStore()
+        store.create("u", (3, 4), rng(10))
+        v = rng(11).normal(size=4)
+
+        def loss():
+            return (1.0 - cosine_sim_node(store["u"], Tensor(v))).square().sum()
+
+        assert finite_diff_check(loss, store) < 1e-6
+        # a zero row gives the scalar helper's 0 and no gradient
+        store["u"].value[1] = 0.0
+        with pytest.warns(RuntimeWarning):
+            rows = cosine_sim_node(store["u"], Tensor(v))
+        with pytest.warns(RuntimeWarning):
+            expected = [cosine_sim(u, v) for u in store["u"].value]
+        np.testing.assert_allclose(rows.value, expected, rtol=0, atol=1e-15)
+        rows.sum().backward()
+        np.testing.assert_array_equal(store["u"].grad[1], np.zeros(4))
 
     def test_softmax_stability_and_errors(self):
         out = softmax([1000.0, 1000.0])
@@ -167,6 +256,19 @@ class TestAttention:
 
         assert finite_diff_check(loss, store) < 1e-5
 
+    def test_leading_axes_match_head_loop(self):
+        store = ParamStore()
+        attention_params(store, "enc", rng(12), in_dim=5, heads=3, model_dim=6)
+        q = rng(13).normal(size=(2, 3, 4, 5))
+        kv = rng(14).normal(size=(2, 3, 2, 5))
+        batched = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), store,
+                                       heads=3, prefix="enc").value
+        assert batched.shape == (2, 3, 4, 6)
+        for idx in np.ndindex(2, 3):
+            expected = ref.attention(Tensor(q[idx]), Tensor(kv[idx]), Tensor(kv[idx]),
+                                     store, 3, "enc").value
+            np.testing.assert_allclose(batched[idx], expected, rtol=0, atol=1e-12)
+
     def test_mismatched_inputs_error(self):
         store = ParamStore()
         attention_params(store, "enc", rng(9), in_dim=4, heads=1, model_dim=4)
@@ -202,6 +304,33 @@ class TestOptimizer:
         store["w"].grad = np.array([np.nan])
         with pytest.raises(ValueError, match="'w'"):
             adam_step(store, OptimizerConfig())
+
+    def test_untouched_parameter_is_skipped_bit_exactly(self):
+        cfg = OptimizerConfig(learning_rate=0.1)
+        store = ParamStore()
+        store.create("w", (3, 2), rng(15))
+        store.create("frozen", (4,), rng(16))
+        values = {n: t.value.copy() for n, t in store.items()}
+        moments = {n: (np.zeros_like(t.value), np.zeros_like(t.value)) for n, t in store.items()}
+        for step in (1, 2):
+            grad = rng(20 + step).normal(size=(3, 2))
+            store["w"].grad = grad.copy()
+            adam_step(store, cfg)
+            # the full update for every parameter, untouched ones at zero gradient
+            bc1, bc2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
+            for name in values:
+                g = grad if name == "w" else np.zeros_like(values[name])
+                m, v = moments[name]
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * g * g
+                update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+                values[name] -= cfg.learning_rate * update
+        for name, t in store.items():
+            assert t.value.tobytes() == values[name].tobytes()
+            for got, want in zip(store.moments(name), moments[name]):
+                assert got.tobytes() == want.tobytes()
 
     def test_weight_decay_decoupled(self):
         store = ParamStore()

@@ -1,10 +1,11 @@
 import json
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 
-from econ.backends import Backend, INVALID_SENTINEL, MockBackend, Utterance
+from econ.backends import Backend, INVALID_SENTINEL, MockBackend, ROLE_COORD_FINAL, Utterance
 from econ.config import RunConfig
 from econ.orchestrator import EarlyStopConfig, EpisodeRecord, Orchestrator
 
@@ -34,6 +35,22 @@ class AlwaysInvalid(Backend):
 
     def generate(self, request):
         return Utterance.invalid(self.embed_dim)
+
+
+class InvalidFinal(MockBackend):
+    """A coordinator whose final-output reply is the invalid sentinel."""
+
+    def generate(self, request):
+        if request.role == ROLE_COORD_FINAL:
+            return Utterance.invalid(self.embed_dim)
+        return super().generate(request)
+
+
+def strict_loads(line):
+    """json.loads that rejects the non-JSON constants Infinity and NaN."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(line, parse_constant=reject)
 
 
 class TestInference:
@@ -78,6 +95,18 @@ class TestInference:
         assert rec.degenerate
         assert rec.final_text == INVALID_SENTINEL
         assert rec.rewards == [0.0, 0.0, 0.0]
+
+    def test_invalid_final_is_degenerate(self):
+        agents = [MockBackend(seed=100 + i, embed_dim=EMBED) for i in range(3)]
+        orch = Orchestrator(small_cfg(), InvalidFinal(seed=50, embed_dim=EMBED), agents)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = orch.run_inference("q")
+        assert all(u.valid for u in rec.utterances)
+        assert rec.degenerate
+        assert rec.final_text == INVALID_SENTINEL
+        assert rec.rewards == [0.0, 0.0, 0.0]
+        assert rec.breakdowns == [None, None, None]
 
     def test_per_agent_field_validation(self):
         with pytest.raises(ValueError):
@@ -222,8 +251,9 @@ class TestTrainLoop:
         rows, reports = orch.train(["qa", "qb"], episode_log_path=log)
         assert len(rows) == 6
         assert [r.episode for r in rows] == list(range(1, 7))
-        entries = [json.loads(l) for l in open(log)]
+        entries = [strict_loads(l) for l in open(log)]
         assert [e["question"] for e in entries[:4]] == ["qa", "qb", "qa", "qb"]
+        assert entries[0]["stop"]["delta_c"] is None  # infinite: no previous output
 
     def test_updates_on_interval_only(self):
         cfg = small_cfg(episodes=6, update_interval=2, batch=2)
