@@ -6,6 +6,7 @@ rate-limit behaviour is testable without waiting.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -132,6 +133,11 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
+@functools.lru_cache(maxsize=8192)
+def _token_hash(tok: str) -> int:
+    return int.from_bytes(hashlib.md5(tok.encode()).digest()[:8], "little")
+
+
 def embed_text(text: str, dim: int = 256) -> np.ndarray:
     """L2-normalized hashed bag-of-tokens embedding."""
     vec = np.zeros(dim)
@@ -141,8 +147,7 @@ def embed_text(text: str, dim: int = 256) -> np.ndarray:
                       RuntimeWarning, stacklevel=2)
         return vec
     for tok in tokens:
-        h = int.from_bytes(hashlib.md5(tok.encode()).digest()[:8], "little")
-        vec[h % dim] += 1.0
+        vec[_token_hash(tok) % dim] += 1.0
     return vec / np.linalg.norm(vec)
 
 
@@ -221,15 +226,30 @@ class MockBackend(Backend):
         rng = np.random.default_rng(_derived_seed(
             self.seed, request.role, request.query, request.strategy,
             round(temp, 6), round(pen, 6)))
+        # Inverse-CDF sampling exactly as `Generator.choice(n, p=probs)`
+        # does it (cumsum, divide by the last entry, searchsorted right),
+        # with all uniforms drawn in one call from the same stream. The
+        # ufunc forms of max, sum and cumsum are the same reductions
+        # without the ndarray methods' Python wrappers.
+        uniforms = rng.random(self.length)
+        temp = max(temp, 1e-6)
         recent = np.zeros(len(self.vocab))  # decayed usage, bounded
+        probs = np.empty_like(recent)
+        cdf = np.empty_like(recent)
         words = []
-        for _ in range(self.length):
-            logits = self.base_logits - 2.0 * pen * recent
-            z = logits / max(temp, 1e-6)
-            z = z - z.max()
-            probs = np.exp(z)
-            probs /= probs.sum()
-            idx = int(rng.choice(len(self.vocab), p=probs))
+        for u in uniforms:
+            np.multiply(2.0 * pen, recent, out=probs)
+            np.subtract(self.base_logits, probs, out=probs)
+            np.divide(probs, temp, out=probs)
+            np.subtract(probs, np.maximum.reduce(probs), out=probs)
+            np.exp(probs, out=probs)
+            np.divide(probs, np.add.reduce(probs), out=probs)
+            np.add.accumulate(probs, out=cdf)
+            total = cdf[-1]
+            if total != total:  # a NaN anywhere; entries are at most 1
+                raise ValueError("Probabilities contain NaN")
+            np.divide(cdf, total, out=cdf)
+            idx = int(cdf.searchsorted(u, side="right"))
             recent *= 0.8
             recent[idx] += 1.0
             words.append(self.vocab[idx])

@@ -26,8 +26,6 @@ def _load_cfg(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
-    if getattr(args, "backend", None):
-        cfg = RunConfig(**{**cfg.__dict__, "backend": args.backend})
     return cfg
 
 
@@ -35,14 +33,22 @@ def _questions(cfg):
     return [f"question-{i}" for i in range(8)]
 
 
+def _refuses_backend(cfg, command: str) -> bool:
+    """True (after telling the user) unless the config asks for the mock
+    backend, the only one the CLI wires."""
+    if cfg.backend == "mock":
+        return False
+    print(f"only the mock backend is wired for CLI {command} runs "
+          f"(config asks for backend = {cfg.backend})", file=sys.stderr)
+    return True
+
+
 def cmd_train(args) -> int:
     from .config import emit_metrics, write_manifest
     from .orchestrator import Orchestrator
 
     cfg = _load_cfg(args)
-    if cfg.backend != "mock":
-        print("only the mock backend is wired for CLI training runs",
-              file=sys.stderr)
+    if _refuses_backend(cfg, "train"):
         return 2
     os.makedirs(args.out, exist_ok=True)
     coordinator, agents = _mock_backends(cfg)
@@ -60,6 +66,8 @@ def cmd_eval(args) -> int:
     from .orchestrator import Orchestrator
 
     cfg = _load_cfg(args)
+    if _refuses_backend(cfg, "eval"):
+        return 2
     os.makedirs(args.out, exist_ok=True)
     coordinator, agents = _mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
@@ -78,6 +86,8 @@ def cmd_hier(args) -> int:
     from .hierarchy import HierOrchestrator
 
     cfg = _load_cfg(args)
+    if _refuses_backend(cfg, "hier"):
+        return 2
     cfg = RunConfig(**{**cfg.__dict__, "agents": args.agents})
     os.makedirs(args.out, exist_ok=True)
     coordinator, backends = _mock_backends(cfg, extra=args.clusters)
@@ -180,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run the training loop")
     t.add_argument("--config", default=None)
-    t.add_argument("--backend", choices=["mock", "http"], default=None)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", default="runs/train")
     t.set_defaults(fn=cmd_train)

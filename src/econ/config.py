@@ -36,8 +36,6 @@ _SCHEMA = {
     "d_b":             ("model", int, lambda v: v >= 1, ">= 1"),
     "heads":           ("model", int, lambda v: v >= 1, ">= 1"),
     "mlp_width":       ("model", int, lambda v: v >= 1, ">= 1"),
-    "blocks":          ("model", int, lambda v: v >= 1, ">= 1"),
-    "dropout":         ("model", float, lambda v: 0.0 <= v < 1.0, "[0, 1)"),
     "t_min":           ("model", float, lambda v: v > 0.0, "> 0"),
     "t_max":           ("model", float, lambda v: v > 0.0, "> 0"),
     "p_min":           ("model", float, lambda v: v > 0.0, "> 0"),
@@ -81,8 +79,6 @@ class RunConfig:
     d_b: int = 128
     heads: int = 4
     mlp_width: int = 256
-    blocks: int = 2
-    dropout: float = 0.0
     t_min: float = 0.1
     t_max: float = 2.0
     p_min: float = 0.1

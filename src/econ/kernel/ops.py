@@ -57,7 +57,7 @@ def softmax(v, scale: float = 1.0) -> np.ndarray:
         raise ValueError("softmax of an empty vector")
     if scale <= 0:
         raise ValueError("softmax scale must be > 0")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteError("softmax requires finite input")
     z = scale * v
     z = z - z.max()

@@ -77,10 +77,6 @@ class ParamStore:
         for t in self._params.values():
             t.zero_grad()
 
-    def copy_values_from(self, other: "ParamStore"):
-        for name, t in other.items():
-            self._params[name].value = t.value.copy()
-
     def clone(self) -> "ParamStore":
         out = ParamStore()
         for name, t in self.items():

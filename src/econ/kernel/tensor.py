@@ -14,17 +14,6 @@ class NonFiniteError(ValueError):
     """An op produced (or was fed) NaN or Inf."""
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
-    return arr
-
-
 def _is_basic_index(idx) -> bool:
     parts = idx if isinstance(idx, tuple) else (idx,)
     return all(isinstance(p, (int, np.integer, slice)) or p is None or p is Ellipsis
@@ -48,13 +37,24 @@ class Tensor:
     shape. Leaf tensors created with requires_grad=True are parameters.
     """
 
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name")
+
     # numpy defers binary operators to Tensor (`array - tensor` is a Tensor)
     __array_ufunc__ = None
 
     def __init__(self, value, requires_grad: bool = False, _parents=(), _backward=None, name: str | None = None):
-        self.value = _check_finite(_as_array(value), name or "tensor")
+        value = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"non-finite values produced by op '{name or 'tensor'}'")
+        self.value = value
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        requires_grad = bool(requires_grad)
+        if not requires_grad:
+            for p in _parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self._parents = tuple(_parents)
         self._backward = _backward
         self.name = name

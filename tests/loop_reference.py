@@ -1,9 +1,11 @@
-"""Per-item reference implementations of the batched losses.
+"""Per-item reference implementations of the batched code paths.
 
-Each function builds its graph the way the networks did before batch,
-window position and attention head became array axes: one Python loop
-iteration per transition, per trajectory position, per agent and per
-head. The equivalence tests use them as the oracle for the batched code.
+Each loss function builds its graph the way the networks did before
+batch, window position and attention head became array axes: one Python
+loop iteration per transition, per trajectory position, per agent and per
+head. `mock_generate` samples the mock backend's text one
+`Generator.choice` call per token. The equivalence tests use them as the
+oracle for the batched code.
 """
 
 import math
@@ -11,6 +13,7 @@ import warnings
 
 import numpy as np
 
+from econ.backends import Utterance, _derived_seed
 from econ.beliefs import _FrozenView
 from econ.kernel import Tensor, concat, stack
 
@@ -25,6 +28,38 @@ def attention(queries, keys, values, params, heads, prefix):
         scores = (q @ k.swapaxes(0, 1)) * (1.0 / math.sqrt(q.value.shape[1]))
         outputs.append(scores.softmax(axis=-1) @ v)
     return concat(outputs, axis=1) @ params[f"{prefix}.w_o"]
+
+
+# -- mock backend ------------------------------------------------------------
+
+
+def mock_generate(backend, request):
+    """`MockBackend.generate` with one `rng.choice(n, p=probs)` per token."""
+    if request.prompt_embedding is not None:
+        temp = request.prompt_embedding.temperature
+        pen = request.prompt_embedding.repetition_penalty
+    else:
+        temp, pen = 0.3, 0.5
+    rng = np.random.default_rng(_derived_seed(
+        backend.seed, request.role, request.query, request.strategy,
+        round(temp, 6), round(pen, 6)))
+    recent = np.zeros(len(backend.vocab))
+    words = []
+    for _ in range(backend.length):
+        logits = backend.base_logits - 2.0 * pen * recent
+        z = logits / max(temp, 1e-6)
+        z = z - z.max()
+        probs = np.exp(z)
+        probs /= probs.sum()
+        idx = int(rng.choice(len(backend.vocab), p=probs))
+        recent *= 0.8
+        recent[idx] += 1.0
+        words.append(backend.vocab[idx])
+    answer = backend.answer_book.get(request.query)
+    if answer is not None:
+        words.append(answer)
+    text = " ".join(words)
+    return Utterance(text, backend.embed(text), len(words))
 
 
 # -- belief network ------------------------------------------------------------

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from econ.backends import (
     BudgetTimeout,
     GenerationRequest,
@@ -12,6 +13,7 @@ from econ.backends import (
     INVALID_SENTINEL,
     MockBackend,
     RateBudget,
+    ROLE_COORD_FINAL,
     ROLE_COORD_STRATEGY,
     ROLE_EXECUTION,
     ScriptedGameBackend,
@@ -133,6 +135,66 @@ class TestMockBackend:
         be = MockBackend(seed=2, length=24)
         u = be.generate(exec_request())
         assert u.token_count == len(u.text.split())
+
+
+def _oracle_requests(n: int) -> list:
+    """All three roles; execution temperatures from below the 1e-6 floor up
+    to 2 and penalties from 0 to 2; exactly one answer-book query."""
+    rng = np.random.default_rng(2024)
+    floor_temps = (1e-7, 5e-7, 1e-6, 2e-6, 1e-5, 2.0)
+    roles = (ROLE_COORD_STRATEGY, ROLE_COORD_FINAL, ROLE_EXECUTION)
+    requests = []
+    for k in range(n):
+        role = roles[k % 3]
+        query = "q-book" if k == 5 else f"question-{k % 17}"
+        strategy = "" if role == ROLE_COORD_STRATEGY else f"strategy {k % 5}"
+        embedding = None
+        if role == ROLE_EXECUTION:
+            j = k // 3
+            temp = floor_temps[j // 2 % 6] if j % 2 else float(rng.uniform(1e-7, 2.0))
+            pen = float(j % 3) if j % 5 == 0 else float(rng.uniform(0.0, 2.0))
+            embedding = PromptEmbedding(temp, pen)
+        requests.append(GenerationRequest(role, query, strategy=strategy,
+                                          prompt_embedding=embedding))
+    return requests
+
+
+class TestMockSamplerOracle:
+    """`MockBackend.generate` against the per-token `rng.choice` loop."""
+
+    def test_matches_choice_loop(self):
+        backends = [MockBackend(seed=s, answer_book={"q-book": "42"})
+                    for s in (0, 7, 211, 9001)]
+        requests = _oracle_requests(2100)
+        assert {r.role for r in requests} == {ROLE_COORD_STRATEGY, ROLE_COORD_FINAL,
+                                              ROLE_EXECUTION}
+        for k, req in enumerate(requests):
+            be = backends[(k // 3) % len(backends)]
+            got, want = be.generate(req), ref.mock_generate(be, req)
+            assert got.text == want.text, k
+            assert got.token_count == want.token_count, k
+            assert got.embedding.tobytes() == want.embedding.tobytes(), k
+        book = requests[5]
+        assert book.query == "q-book" and book.role == ROLE_EXECUTION
+        assert backends[1].generate(book).text.endswith(" 42")
+
+    @pytest.mark.parametrize("temp, pen", [(float("nan"), 0.5), (0.5, float("nan")),
+                                           (0.5, float("inf")), (0.5, -float("inf"))])
+    def test_nan_probabilities_raise(self, temp, pen):
+        be = MockBackend(seed=1)
+        req = exec_request(temp, pen)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="Probabilities contain NaN"):
+                ref.mock_generate(be, req)
+            with pytest.raises(ValueError, match="Probabilities contain NaN"):
+                be.generate(req)
+
+    def test_infinite_temperature_samples(self):
+        be = MockBackend(seed=1)
+        req = exec_request(float("inf"), 0.5)
+        got = be.generate(req)
+        assert got.token_count == be.length
+        assert got.text == ref.mock_generate(be, req).text
 
 
 class TestScriptedBackend:

@@ -60,6 +60,28 @@ class TestTensorOps:
         with pytest.raises(NonFiniteError):
             Tensor(0.0).log()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, [1.0, np.nan], [[0.0], [np.inf]]])
+    def test_nonfinite_construction_rejected(self, value):
+        with pytest.raises(NonFiniteError, match="'tensor'"):
+            Tensor(value)
+
+    @pytest.mark.parametrize("op, build", [
+        ("log", lambda: Tensor(np.array([1.0, 0.0])).log()),
+        ("reciprocal", lambda: Tensor(np.array([2.0, 0.0])).reciprocal()),
+        ("exp", lambda: Tensor(np.array([0.0, 800.0])).exp()),
+        ("matmul", lambda: Tensor(np.full((2, 2), 1e200)) @ Tensor(np.full((2, 2), 1e200))),
+    ])
+    def test_nonfinite_op_output_rejected(self, op, build):
+        with np.errstate(divide="ignore", over="ignore"):
+            with pytest.raises(NonFiniteError, match=f"'{op}'"):
+                build()
+
+    def test_requires_grad_inherited_from_second_parent(self):
+        a, b = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+        for out in (a + b, a * b, a @ b, concat([a, b]), stack([a, b])):
+            assert out.requires_grad
+        assert not (a + a).requires_grad
+
     def test_diamond_graph_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
         y = x * x + x * 3.0
