@@ -81,9 +81,6 @@ class VirtualClock:
         with self._lock:
             self._t += seconds
 
-    def advance(self, seconds: float):
-        self.sleep(seconds)
-
 
 class BudgetTimeout(TimeoutError):
     """The rate budget can never admit this request."""

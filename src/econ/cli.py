@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, hier, game-lab and check."""
+"""Command-line surface: train, eval, hier and game-lab."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import os
 import sys
 
 import numpy as np
+
+from .gamelab.learners import MIN_FIT_STEPS
 
 
 def _mock_backends(cfg, extra: int = 0):
@@ -31,6 +33,16 @@ def _load_cfg(args):
 
 def _questions(cfg):
     return [f"question-{i}" for i in range(8)]
+
+
+def _at_least(minimum: int):
+    """argparse type for an integer count no smaller than `minimum`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
 
 
 def _refuses_backend(cfg, command: str) -> bool:
@@ -71,9 +83,10 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     coordinator, agents = _mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
+    questions = _questions(cfg)
     rewards = []
-    for q in _questions(cfg)[:args.episodes]:
-        record = orch.run_inference(q)
+    for ep in range(args.episodes):
+        record = orch.run_inference(questions[ep % len(questions)])
         orch.absorb_episode(record)
         rewards.append(float(np.mean(record.rewards)))
     write_manifest(os.path.join(args.out, "manifest.json"), cfg, "eval")
@@ -121,68 +134,6 @@ def cmd_game_lab(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    """Quick invariant sweep: monotonicity, gradients, rewards, rate gate."""
-    from .kernel import ParamStore, Tensor, finite_diff_check
-    from .mixing import MixingNetwork
-    from .backends import BudgetTimeout, RateBudget, VirtualClock
-    from .rewards import RewardWeights, project_simplex
-
-    failures = 0
-
-    def report(name, ok, detail=""):
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
-        failures += 0 if ok else 1
-
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for trial in range(10):
-        net = MixingNetwork(3, group_dim=8, rng=np.random.default_rng(trial))
-        res = net.check_monotonicity(n_samples=20, rng=rng)
-        worst = min(worst, res["min_directional_derivative"])
-        if not res["passes"]:
-            break
-    report("mixing monotonicity", worst >= -1e-8, f"min derivative {worst:.2e}")
-
-    store = ParamStore()
-    store.create("w", (4, 3), rng, fan_in=4)
-    store.create("b", (3,), rng)
-    x = np.array([0.3, -0.2, 0.5, 0.1])
-
-    def loss_fn():
-        return ((Tensor(x) @ store["w"] + store["b"]).relu().square()).sum()
-
-    err = finite_diff_check(loss_fn, store)
-    report("gradient check", err < 1e-4, f"max relative error {err:.2e}")
-
-    rng2 = np.random.default_rng(1)
-    ok = True
-    w = RewardWeights()
-    for _ in range(1000):
-        alphas = project_simplex(rng2.normal(size=3))
-        if abs(alphas.sum() - 1.0) > 1e-9 or (alphas < 0).any():
-            ok = False
-            break
-    report("simplex projection", ok)
-
-    clock = VirtualClock()
-    budget = RateBudget(rpm=2, tpm=1000, clock=clock)
-    budget.acquire(10)
-    budget.acquire(10)
-    t0 = clock.now()
-    budget.acquire(10)
-    report("rate budget window", clock.now() - t0 >= 59.0,
-           f"waited {clock.now() - t0:.1f}s virtual")
-    try:
-        budget.acquire(5000)
-        report("rate budget cap", False)
-    except BudgetTimeout:
-        report("rate budget cap", True)
-
-    return 0 if failures == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="econ",
                                 description="Belief-network multi-agent coordination toolkit")
@@ -197,15 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="inference-only evaluation")
     e.add_argument("--config", default=None)
     e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--episodes", type=int, default=8)
+    e.add_argument("--episodes", type=_at_least(1), default=8)
     e.add_argument("--out", default="runs/eval")
     e.set_defaults(fn=cmd_eval)
 
     h = sub.add_parser("hier", help="hierarchical training")
     h.add_argument("--config", default=None)
-    h.add_argument("--clusters", type=int, default=3)
-    h.add_argument("--agents", type=int, default=9)
-    h.add_argument("--rounds", type=int, default=5)
+    h.add_argument("--clusters", type=_at_least(1), default=3)
+    h.add_argument("--agents", type=_at_least(1), default=9)
+    h.add_argument("--rounds", type=_at_least(1), default=5)
     h.add_argument("--seed", type=int, default=None)
     h.add_argument("--out", default="runs/hier")
     h.set_defaults(fn=cmd_hier)
@@ -214,13 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--game", required=True,
                    help="path to a .game file or a shipped game name")
     g.add_argument("--learner", choices=["econ", "debate"], default="econ")
-    g.add_argument("--steps", type=int, default=1000)
+    g.add_argument("--steps", type=_at_least(MIN_FIT_STEPS), default=1000,
+                   help=f"learner steps (at least {MIN_FIT_STEPS}, to fit the regret exponent)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="runs/gamelab")
     g.set_defaults(fn=cmd_game_lab)
 
-    c = sub.add_parser("check", help="run the quick invariant suite")
-    c.set_defaults(fn=cmd_check)
     return p
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import ParamStore, Tensor, attention_params, multi_head_attention, stack
+from .kernel import ParamStore, Tensor, attention_params, multi_head_attention
 
 
 class BeliefEncoder:
@@ -33,14 +33,11 @@ class BeliefEncoder:
         if len(beliefs) == 0:
             raise ValueError("encode_group needs at least one belief")
         params = params if params is not None else self.params
-        if any(isinstance(b, Tensor) for b in beliefs):
-            x = stack(beliefs)
-        else:
-            x = Tensor(np.asarray(beliefs, dtype=np.float64))
+        x = Tensor(np.asarray(beliefs, dtype=np.float64))
         if x.value.ndim < 2 or x.value.shape[-1] != self.belief_dim:
             raise ValueError(
                 f"beliefs of shape {x.value.shape}, expected (..., N, {self.belief_dim})")
-        attended = multi_head_attention(x, x, x, params, self.heads, prefix="enc")
+        attended = multi_head_attention(x, params, self.heads, prefix="enc")
         return attended.mean(axis=-2)
 
 

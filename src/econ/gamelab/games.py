@@ -59,9 +59,6 @@ class FiniteBayesianGame:
     def action_shape(self) -> tuple:
         return tuple(len(a) for a in self.actions)
 
-    def is_zero_sum(self, tol: float = 1e-9) -> bool:
-        return bool(np.abs(self.payoffs.sum(axis=-1)).max() <= tol)
-
     def payoff_sum_constant(self, tol: float = 1e-9):
         """The game's constant sum, or None if payoff totals vary."""
         totals = self.payoffs.sum(axis=-1)

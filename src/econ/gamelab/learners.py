@@ -214,13 +214,16 @@ class RegretFit:
     shifted: bool  # non-positive values had to be shifted before the log fit
 
 
+MIN_FIT_STEPS = 100
+
+
 def fit_regret_exponent(total: np.ndarray, tail_frac: float = 0.8) -> RegretFit:
     """Least-squares fit of R(T) ~ a * T^b on log-log axes over the trace
     tail. Non-positive cumulative values are shifted into positivity and
     flagged."""
     total = np.asarray(total, dtype=np.float64)
-    if total.ndim != 1 or total.size < 100:
-        raise ValueError("need a 1-D trace of at least 100 steps")
+    if total.ndim != 1 or total.size < MIN_FIT_STEPS:
+        raise ValueError(f"need a 1-D trace of at least {MIN_FIT_STEPS} steps")
     start = int(round(total.size * (1.0 - tail_frac)))
     ts = np.arange(1, total.size + 1, dtype=np.float64)[start:]
     rs = total[start:]

@@ -1,4 +1,4 @@
-"""Scalar/vector helpers, multi-head attention and the gradient-check oracle."""
+"""Scalar/vector helpers, multi-head self-attention and the gradient-check oracle."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import warnings
 
 import numpy as np
 
-from .params import ParamStore
-from .tensor import NonFiniteError, Tensor, concat, stable_sigmoid
+from .params import ParamStore, uniform_init
+from .tensor import NonFiniteError, Tensor, stable_sigmoid
 
 
 def sigmoid(x: float) -> float:
@@ -67,55 +67,43 @@ def softmax(v, scale: float = 1.0) -> np.ndarray:
 
 def attention_params(store: ParamStore, prefix: str, rng: np.random.Generator,
                      in_dim: int, heads: int, model_dim: int):
-    """Create per-head Q/K/V projections plus the output projection."""
+    """Create the fused Q/K/V projection `{prefix}.w_qkv`, of shape
+    (in_dim, 3 * model_dim) with columns ordered (role, head, head_dim),
+    plus the output projection `{prefix}.w_o`.
+
+    The Q/K/V weights are drawn as one (heads, 3, in_dim, head_dim) block,
+    i.e. head by head and within a head in q, k, v order.
+    """
     if model_dim % heads != 0:
         raise ValueError(f"model dim {model_dim} not divisible by {heads} heads")
-    head_dim = model_dim // heads
-    for h in range(heads):
-        store.create(f"{prefix}.w_q{h}", (in_dim, head_dim), rng, fan_in=in_dim)
-        store.create(f"{prefix}.w_k{h}", (in_dim, head_dim), rng, fan_in=in_dim)
-        store.create(f"{prefix}.w_v{h}", (in_dim, head_dim), rng, fan_in=in_dim)
+    block = uniform_init(rng, (heads, 3, in_dim, model_dim // heads), fan_in=in_dim)
+    store.add(f"{prefix}.w_qkv", block.transpose(2, 1, 0, 3).reshape(in_dim, 3 * model_dim))
     store.create(f"{prefix}.w_o", (model_dim, model_dim), rng, fan_in=model_dim)
 
 
-def multi_head_attention(queries: Tensor, keys: Tensor, values: Tensor,
-                         params: ParamStore, heads: int, prefix: str = "attn",
-                         scale: float | None = None) -> Tensor:
-    """Scaled dot-product attention with `heads` heads.
+def multi_head_attention(x: Tensor, params: ParamStore, heads: int,
+                         prefix: str = "attn") -> Tensor:
+    """Scaled dot-product self-attention with `heads` heads.
 
-    queries: (..., Nq, d_in); keys/values: (..., Nk, d_in), with the same
-    leading axes. The per-head projections are concatenated into one
-    matrix per role, heads are split off by a reshape, and the heads'
-    outputs, concatenated in head order, pass through the output
-    projection, giving (..., Nq, model_dim).
+    x: (..., N, d_in). One matmul by `{prefix}.w_qkv` gives every head's
+    queries, keys and values, split off by a reshape and basic indexing;
+    the heads' outputs, concatenated in head order, pass through the
+    output projection, giving (..., N, model_dim).
     """
-    shapes = [t.value.shape for t in (queries, keys, values)]
-    if min(len(s) for s in shapes) < 2:
-        raise ValueError("attention inputs must be at least rank-2 (slots x features)")
-    if shapes[1][-2] != shapes[2][-2]:
+    w_qkv = params[f"{prefix}.w_qkv"]
+    in_dim, width = w_qkv.value.shape
+    if x.value.ndim < 2 or x.value.shape[-1] != in_dim:
         raise ValueError(
-            f"keys ({shapes[1]}) and values ({shapes[2]}) disagree on slot count")
-    try:
-        proj = {role: concat([params[f"{prefix}.w_{role}{h}"] for h in range(heads)], axis=1)
-                for role in "qkv"}
-    except KeyError as exc:
-        raise ValueError(f"missing attention parameter {exc}") from exc
-    if shapes[0][-1] != proj["q"].value.shape[0]:
-        raise ValueError(
-            f"queries ({shapes[0]}) incompatible with "
-            f"{prefix}.w_q0 ({params[f'{prefix}.w_q0'].value.shape})")
-
-    def split_heads(x: Tensor, role: str) -> Tensor:
-        """(..., N, d_in) -> (..., heads, N, head_dim)."""
-        y = x @ proj[role]
-        *lead, n, width = y.value.shape
-        return y.reshape(*lead, n, heads, width // heads).swapaxes(-3, -2)
-
-    q, k, v = split_heads(queries, "q"), split_heads(keys, "k"), split_heads(values, "v")
-    *lead, _, nq, head_dim = q.value.shape
-    s = scale if scale is not None else 1.0 / math.sqrt(head_dim)
-    out = ((q @ k.swapaxes(-1, -2)) * s).softmax(axis=-1) @ v  # (..., heads, Nq, head_dim)
-    merged = out.swapaxes(-3, -2).reshape(*lead, nq, heads * head_dim)
+            f"attention input of shape {x.value.shape} incompatible with "
+            f"{prefix}.w_qkv {w_qkv.value.shape}; expected (..., N, {in_dim})")
+    *lead, n, _ = x.value.shape
+    head_dim = width // (3 * heads)
+    # (..., N, 3, heads, head_dim) -> (..., heads, 3, N, head_dim)
+    qkv = (x @ w_qkv).reshape(*lead, n, 3, heads, head_dim).swapaxes(-4, -2)
+    q, k, v = qkv[..., 0, :, :], qkv[..., 1, :, :], qkv[..., 2, :, :]
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(head_dim))
+    out = scores.softmax(axis=-1) @ v  # (..., heads, N, head_dim)
+    merged = out.swapaxes(-3, -2).reshape(*lead, n, heads * head_dim)
     return merged @ params[f"{prefix}.w_o"]
 
 

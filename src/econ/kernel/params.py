@@ -70,9 +70,6 @@ class ParamStore:
     def moments_are_zero(self, name: str) -> bool:
         return name not in self._m or not (self._m[name].any() or self._v[name].any())
 
-    def num_params(self) -> int:
-        return sum(t.value.size for t in self._params.values())
-
     def zero_grads(self):
         for t in self._params.values():
             t.zero_grad()

@@ -91,7 +91,7 @@ class MixingNetwork:
     def _attend(self, embeddings, params) -> Tensor:
         """(..., N, 2) prompt embeddings -> (..., N, attn_dim)."""
         x = Tensor(np.asarray(embeddings, dtype=np.float64))
-        return multi_head_attention(x, x, x, params, self.heads, prefix="emb")
+        return multi_head_attention(x, params, self.heads, prefix="emb")
 
     def _fuse(self, w: Tensor, group, params) -> Tensor:
         """F_i = relu(linear([w_i; E])) for (..., N, attn_dim) w; the group

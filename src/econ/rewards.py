@@ -105,18 +105,6 @@ def _check_score(score: float, source: str) -> float:
     return score
 
 
-def reward_action_likelihood(u_embed, c_embed, r_max: float) -> float:
-    return min(r_max, cosine_sim(u_embed, c_embed))
-
-
-def reward_task_specific(utterance: str, task: str, evaluator: Evaluator, r_max: float) -> float:
-    return min(r_max, _check_score(evaluator.score_task(utterance, task), "task evaluator"))
-
-
-def reward_collab(utterance: str, peers: list[str], evaluator: Evaluator, r_max: float) -> float:
-    return min(r_max, _check_score(evaluator.score_collab(utterance, peers), "collab evaluator"))
-
-
 def blend(r_al: float, r_ts: float, r_cc: float, weights: RewardWeights) -> float:
     weights.validate()
     return float(weights.alphas @ np.array([r_al, r_ts, r_cc]))

@@ -3,9 +3,10 @@
 Each loss function builds its graph the way the networks did before
 batch, window position and attention head became array axes: one Python
 loop iteration per transition, per trajectory position, per agent and per
-head. `mock_generate` samples the mock backend's text one
-`Generator.choice` call per token. The equivalence tests use them as the
-oracle for the batched code.
+head. `attention_params` creates attention weights in the per-head
+layout that the fused `w_qkv` replaced. `mock_generate` samples the mock
+backend's text one `Generator.choice` call per token. The equivalence
+tests use them as the oracle for the batched code.
 """
 
 import math
@@ -18,14 +19,27 @@ from econ.beliefs import _FrozenView
 from econ.kernel import Tensor, concat, stack
 
 
-def attention(queries, keys, values, params, heads, prefix):
-    """Multi-head attention on rank-2 inputs, one head at a time."""
+def attention_params(store, prefix, rng, in_dim, heads, model_dim):
+    """The per-head layout: `{prefix}.w_q{h}`, `w_k{h}`, `w_v{h}` created
+    head by head, then `{prefix}.w_o`."""
+    head_dim = model_dim // heads
+    for h in range(heads):
+        for role in "qkv":
+            store.create(f"{prefix}.w_{role}{h}", (in_dim, head_dim), rng, fan_in=in_dim)
+    store.create(f"{prefix}.w_o", (model_dim, model_dim), rng, fan_in=model_dim)
+
+
+def attention(x, params, heads, prefix):
+    """Multi-head self-attention on a rank-2 input, one head at a time;
+    head h's projection for each role is a column slice of `w_qkv`."""
+    w_qkv = params[f"{prefix}.w_qkv"]
+    model_dim = w_qkv.value.shape[1] // 3
+    head_dim = model_dim // heads
     outputs = []
     for h in range(heads):
-        q = queries @ params[f"{prefix}.w_q{h}"]
-        k = keys @ params[f"{prefix}.w_k{h}"]
-        v = values @ params[f"{prefix}.w_v{h}"]
-        scores = (q @ k.swapaxes(0, 1)) * (1.0 / math.sqrt(q.value.shape[1]))
+        q, k, v = (x @ w_qkv[:, r * model_dim + h * head_dim:r * model_dim + (h + 1) * head_dim]
+                   for r in range(3))
+        scores = (q @ k.swapaxes(0, 1)) * (1.0 / math.sqrt(head_dim))
         outputs.append(scores.softmax(axis=-1) @ v)
     return concat(outputs, axis=1) @ params[f"{prefix}.w_o"]
 
@@ -102,14 +116,14 @@ def td_loss(net, batch, gamma):
 
 def encode_group(enc, beliefs, params):
     x = stack([Tensor(np.asarray(b, float)) for b in beliefs])
-    attended = attention(x, x, x, params, enc.heads, "enc")
+    attended = attention(x, params, enc.heads, "enc")
     return stack([attended[i] for i in range(len(beliefs))]).mean(axis=0)
 
 
 def mixing_forward(mix, local_qs, embeddings, group, params):
     """(Q_tot, per-agent feature list) for one item."""
     x = Tensor(np.asarray(embeddings, float))
-    attended = attention(x, x, x, params, mix.heads, "emb")
+    attended = attention(x, params, mix.heads, "emb")
     e = group if isinstance(group, Tensor) else Tensor(np.asarray(group, float))
     features = [(concat([attended[i], e]) @ params["fuse.w"] + params["fuse.b"]).relu()
                 for i in range(mix.n_agents)]

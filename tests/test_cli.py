@@ -16,3 +16,38 @@ def test_non_mock_backend_refused(command, tmp_path, capsys):
 def test_train_has_no_backend_flag():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--backend", "mock"])
+
+
+def test_check_is_not_a_command():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--episodes", "0"],
+    ["eval", "--episodes", "-3"],
+    ["hier", "--rounds", "0"],
+    ["hier", "--clusters", "0"],
+    ["hier", "--agents", "0"],
+    ["game-lab", "--game", "matching_pennies", "--steps", "50"],
+    ["game-lab", "--game", "matching_pennies", "--steps", "99"],
+])
+def test_count_below_minimum_rejected(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_cycles_through_questions(tmp_path, capsys):
+    assert main(["eval", "--episodes", "20", "--out", str(tmp_path / "out")]) == 0
+    assert "mean reward over 20 episodes" in capsys.readouterr().out
+
+
+def test_game_lab_at_minimum_steps(tmp_path):
+    out = tmp_path / "out"
+    assert main(["game-lab", "--game", "matching_pennies", "--steps", "100",
+                 "--out", str(out)]) == 0
+    assert (out / "regret_econ.csv").exists()

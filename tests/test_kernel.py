@@ -251,21 +251,33 @@ class TestScalarHelpers:
 
 
 class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_fused_init_matches_per_head_layout(self, heads):
+        # the (role, head) column blocks of w_qkv are the per-head matrices
+        # that head-by-head creation draws from the same seed, bit for bit
+        fused, per_head = ParamStore(), ParamStore()
+        attention_params(fused, "enc", rng(3), in_dim=5, heads=heads, model_dim=8)
+        ref.attention_params(per_head, "enc", rng(3), in_dim=5, heads=heads, model_dim=8)
+        assert fused.names() == ["enc.w_qkv", "enc.w_o"]
+        w_qkv = fused["enc.w_qkv"].value
+        assert w_qkv.shape == (5, 24)
+        head_dim = 8 // heads
+        for r, role in enumerate("qkv"):
+            for h in range(heads):
+                col = r * 8 + h * head_dim
+                np.testing.assert_array_equal(w_qkv[:, col:col + head_dim],
+                                              per_head[f"enc.w_{role}{h}"].value)
+        np.testing.assert_array_equal(fused["enc.w_o"].value, per_head["enc.w_o"].value)
+
     def test_one_head_sharp_softmax_selects_value(self):
-        # identity projections, one query equal to the first of two keys,
-        # large scale: attention weight on value_1 approaches 1
+        # identity query/key projections and large inputs: each slot's
+        # attention weight on itself approaches 1, so it returns its own value
         store = ParamStore()
-        d = 2
-        store.add("a.w_q0", np.eye(d))
-        store.add("a.w_k0", np.eye(d))
-        store.add("a.w_v0", np.eye(d))
-        store.add("a.w_o", np.eye(d))
-        keys = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        values = Tensor(np.array([[5.0, 0.0], [0.0, 7.0]]))
-        query = Tensor(np.array([[1.0, 0.0]]))
-        out = multi_head_attention(query, keys, values, store, heads=1,
-                                   prefix="a", scale=50.0)
-        np.testing.assert_allclose(out.value[0], [5.0, 0.0], atol=1e-9)
+        store.add("a.w_qkv", np.hstack([np.eye(2), np.eye(2), np.diag([0.1, 0.14])]))
+        store.add("a.w_o", np.eye(2))
+        x = Tensor(50.0 * np.eye(2))
+        out = multi_head_attention(x, store, heads=1, prefix="a")
+        np.testing.assert_allclose(out.value, [[5.0, 0.0], [0.0, 7.0]], atol=1e-9)
 
     def test_shapes_and_gradient(self):
         store = ParamStore()
@@ -273,34 +285,27 @@ class TestAttention:
         x = rng(8).normal(size=(3, 6))
 
         def loss():
-            return multi_head_attention(Tensor(x), Tensor(x), Tensor(x),
-                                        store, heads=2, prefix="enc").square().sum()
+            return multi_head_attention(Tensor(x), store, heads=2, prefix="enc").square().sum()
 
         assert finite_diff_check(loss, store) < 1e-5
 
     def test_leading_axes_match_head_loop(self):
         store = ParamStore()
         attention_params(store, "enc", rng(12), in_dim=5, heads=3, model_dim=6)
-        q = rng(13).normal(size=(2, 3, 4, 5))
-        kv = rng(14).normal(size=(2, 3, 2, 5))
-        batched = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), store,
-                                       heads=3, prefix="enc").value
+        x = rng(13).normal(size=(2, 3, 4, 5))
+        batched = multi_head_attention(Tensor(x), store, heads=3, prefix="enc").value
         assert batched.shape == (2, 3, 4, 6)
         for idx in np.ndindex(2, 3):
-            expected = ref.attention(Tensor(q[idx]), Tensor(kv[idx]), Tensor(kv[idx]),
-                                     store, 3, "enc").value
+            expected = ref.attention(Tensor(x[idx]), store, 3, "enc").value
             np.testing.assert_allclose(batched[idx], expected, rtol=0, atol=1e-12)
 
     def test_mismatched_inputs_error(self):
         store = ParamStore()
         attention_params(store, "enc", rng(9), in_dim=4, heads=1, model_dim=4)
-        q = Tensor(np.ones((2, 3)))
-        kv = Tensor(np.ones((2, 4)))
-        with pytest.raises(ValueError, match="w_q0"):
-            multi_head_attention(q, kv, kv, store, heads=1, prefix="enc")
-        with pytest.raises(ValueError, match="disagree"):
-            multi_head_attention(kv, kv, Tensor(np.ones((3, 4))), store,
-                                 heads=1, prefix="enc")
+        with pytest.raises(ValueError, match="w_qkv"):
+            multi_head_attention(Tensor(np.ones((2, 3))), store, heads=1, prefix="enc")
+        with pytest.raises(ValueError, match="w_qkv"):
+            multi_head_attention(Tensor(np.ones(4)), store, heads=1, prefix="enc")
 
 
 class TestOptimizer:

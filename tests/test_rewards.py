@@ -11,7 +11,6 @@ from econ.rewards import (
     compute_breakdown,
     jaccard_distinctness,
     project_simplex,
-    reward_action_likelihood,
     reward_log_line,
     update_reward_weights,
 )
@@ -85,11 +84,6 @@ class TestWeights:
 
 
 class TestComponents:
-    def test_action_likelihood_clipped(self):
-        v = np.array([1.0, 0.0])
-        assert reward_action_likelihood(v, v, r_max=0.5) == pytest.approx(0.5)
-        assert reward_action_likelihood(v, v, r_max=1.0) == pytest.approx(1.0)
-
     def test_jaccard_solo_and_disjoint(self):
         assert jaccard_distinctness("a b", []) == 1.0
         assert jaccard_distinctness("a b", ["c d"]) == 1.0
