@@ -400,19 +400,36 @@ class HttpBackend(Backend):
         return text if isinstance(text, str) and text.strip() else None
 
 
+def run_concurrently(calls: list) -> list:
+    """Run each zero-argument callable on its own thread; return their
+    results in call order. Once every thread has joined, the first
+    exception in call order is re-raised in the caller."""
+    results: list = [None] * len(calls)
+    errors: list = [None] * len(calls)
+
+    def work(idx: int):
+        try:
+            results[idx] = calls[idx]()
+        except Exception as exc:
+            errors[idx] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def run_jobs(requests: list[GenerationRequest], backend: Backend,
              batch_size: int = 4) -> list[Utterance]:
-    """Dispatch generation requests in mini-batches of concurrent calls."""
-    results: list = [None] * len(requests)
-
-    def work(idx: int, req: GenerationRequest):
-        results[idx] = backend.generate(req)
-
+    """Dispatch generation requests in mini-batches of concurrent calls.
+    A failed call's exception reaches the caller after its batch joins."""
+    results: list = []
     for start in range(0, len(requests), batch_size):
-        chunk = list(enumerate(requests))[start:start + batch_size]
-        threads = [threading.Thread(target=work, args=(i, r)) for i, r in chunk]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results += run_concurrently([functools.partial(backend.generate, r)
+                                     for r in requests[start:start + batch_size]])
     return results

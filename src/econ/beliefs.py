@@ -5,15 +5,12 @@ against a soft-updated target Q head.
 
 from __future__ import annotations
 
-import json
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernel import ParamStore, Tensor, concat
-from .kernel.tensor import stable_sigmoid
 
 
 @dataclass
@@ -95,69 +92,6 @@ class Transition:
     next_traj: Trajectory
     next_obs: np.ndarray
     terminal: bool = False
-
-
-class ReplayBuffer:
-    """FIFO-bounded transition store."""
-
-    def __init__(self, capacity: int = 32):
-        self.capacity = capacity
-        self._items: deque = deque(maxlen=capacity)
-
-    def append(self, item: Transition):
-        self._items.append(item)
-
-    def sample_latest(self, n: int) -> list[Transition]:
-        items = list(self._items)
-        return items[-n:]
-
-    def __len__(self):
-        return len(self._items)
-
-    def spill(self, path):
-        """Length-prefixed records of transition fields."""
-        with open(path, "wb") as fh:
-            for t in self._items:
-                rec = json.dumps({
-                    "traj": [[a.tolist(), o.tolist()] for a, o in t.traj.pairs()],
-                    "window": t.traj.window,
-                    "obs": t.obs.tolist(),
-                    "action": t.action.tolist(),
-                    "reward": t.reward,
-                    "next_traj": [[a.tolist(), o.tolist()] for a, o in t.next_traj.pairs()],
-                    "next_obs": t.next_obs.tolist(),
-                    "terminal": t.terminal,
-                }).encode()
-                fh.write(struct.pack("<I", len(rec)))
-                fh.write(rec)
-
-    @classmethod
-    def restore(cls, path, capacity: int = 32) -> "ReplayBuffer":
-        buf = cls(capacity)
-        with open(path, "rb") as fh:
-            while True:
-                head = fh.read(4)
-                if not head:
-                    break
-                (n,) = struct.unpack("<I", head)
-                rec = json.loads(fh.read(n).decode())
-
-                def mk_traj(pairs, window):
-                    t = Trajectory(window)
-                    for a, o in pairs:
-                        t.append(np.asarray(a), np.asarray(o))
-                    return t
-
-                buf.append(Transition(
-                    traj=mk_traj(rec["traj"], rec["window"]),
-                    obs=np.asarray(rec["obs"]),
-                    action=np.asarray(rec["action"]),
-                    reward=rec["reward"],
-                    next_traj=mk_traj(rec["next_traj"], rec["window"]),
-                    next_obs=np.asarray(rec["next_obs"]),
-                    terminal=rec["terminal"],
-                ))
-        return buf
 
 
 class _FrozenView:

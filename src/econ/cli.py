@@ -96,11 +96,15 @@ def cmd_eval(args) -> int:
 
 def cmd_hier(args) -> int:
     from .config import RunConfig, write_manifest
-    from .hierarchy import HierOrchestrator
+    from .hierarchy import MAX_CLUSTER_SIZE, HierOrchestrator
 
     cfg = _load_cfg(args)
     if _refuses_backend(cfg, "hier"):
         return 2
+    if not args.clusters <= args.agents <= MAX_CLUSTER_SIZE * args.clusters:
+        args.error(f"--agents must be at least --clusters ({args.clusters}) and at most "
+                   f"{MAX_CLUSTER_SIZE} per cluster ({MAX_CLUSTER_SIZE * args.clusters}), "
+                   f"got {args.agents}")
     cfg = RunConfig(**{**cfg.__dict__, "agents": args.agents})
     os.makedirs(args.out, exist_ok=True)
     coordinator, backends = _mock_backends(cfg, extra=args.clusters)
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--rounds", type=_at_least(1), default=5)
     h.add_argument("--seed", type=int, default=None)
     h.add_argument("--out", default="runs/hier")
-    h.set_defaults(fn=cmd_hier)
+    h.set_defaults(fn=cmd_hier, error=h.error)
 
     g = sub.add_parser("game-lab", help="finite-game learning and regret traces")
     g.add_argument("--game", required=True,

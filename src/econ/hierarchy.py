@@ -9,12 +9,18 @@ step, and the ordered report proves it.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import GenerationRequest, ROLE_COORD_FINAL, ROLE_COORD_STRATEGY, truncate_strategy
+from .backends import (
+    GenerationRequest,
+    ROLE_COORD_FINAL,
+    ROLE_COORD_STRATEGY,
+    run_concurrently,
+    truncate_strategy,
+)
 from .config import RunConfig, json_line
 from .kernel import adam_step, cosine_sim
 from .mixing import MixingBatchItem, MixingNetwork
@@ -115,18 +121,12 @@ class HierOrchestrator:
         global_strategy, _ = truncate_strategy(
             s_u.text, regenerate=lambda: self.global_coordinator.generate(req).text)
 
-        records = [None] * self.k
-
-        def infer(idx: int):
-            orch = self.cluster_orchs[idx]
+        def infer(orch: Orchestrator):
             s_k = self._local_strategy(orch, question, global_strategy)
-            records[idx] = orch.run_inference(question, strategy=s_k)
+            return orch.run_inference(question, strategy=s_k)
 
-        threads = [threading.Thread(target=infer, args=(i,)) for i in range(self.k)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        records = run_concurrently([functools.partial(infer, orch)
+                                    for orch in self.cluster_orchs])
 
         outputs = [r.final_text for r in records]
         embeds = [r.final_embedding for r in records]

@@ -4,11 +4,12 @@ and early stopping.
 
 The inference phase is read-only with respect to every parameter store;
 all mutation happens in the optimization phase, which runs every
-`update_interval` episodes over the newest buffered transitions.
+`update_interval` episodes over the newest stored episodes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ from .beliefs import (
     Observation,
     PromptBounds,
     PromptEmbedding,
-    ReplayBuffer,
     Trajectory,
     Transition,
     _FrozenView,
@@ -62,6 +62,7 @@ class EpisodeRecord:
     final_text: str
     final_embedding: np.ndarray
     degenerate: bool = False
+    transitions: list = field(default_factory=list)  # per agent, set when absorbed
 
     def __post_init__(self):
         n = len(self.utterances)
@@ -88,11 +89,10 @@ class EarlyStopConfig:
 
 @dataclass
 class TrainState:
-    """Everything mutable across episodes."""
+    """Everything mutable across episodes. `episodes`, the newest absorbed
+    records with their transitions, is the only store of agent history."""
 
-    trajectories: list
-    buffers: list
-    prev_beliefs: list
+    episodes: deque
     reward_weights: RewardWeights
     expected_rewards: np.ndarray        # per-agent EMA of blended rewards
     prev_c_embed: np.ndarray | None = None
@@ -102,7 +102,6 @@ class TrainState:
     last_delta_l: float | None = None
     stop_streak: int = 0
     episode: int = 0
-    cached_episodes: list = field(default_factory=list)
 
 
 class Orchestrator:
@@ -140,9 +139,7 @@ class Orchestrator:
         self.opt = OptimizerConfig(learning_rate=cfg.eta)
 
         self.state = TrainState(
-            trajectories=[Trajectory(cfg.window) for _ in agents],
-            buffers=[ReplayBuffer(cfg.buffer) for _ in agents],
-            prev_beliefs=[np.zeros(cfg.d_b) for _ in agents],
+            episodes=deque(maxlen=cfg.buffer),
             reward_weights=RewardWeights(np.asarray(cfg.alpha)),
             expected_rewards=np.zeros(len(agents)),
         )
@@ -157,6 +154,14 @@ class Orchestrator:
 
     def checksums(self) -> dict:
         return {name: store.checksum() for name, store in self.param_stores().items()}
+
+    def _history(self, i: int) -> tuple[Trajectory, np.ndarray]:
+        """Agent i's trajectory and prior belief after the newest absorbed
+        episode; an empty trajectory and zeros before the first."""
+        if not self.state.episodes:
+            return Trajectory(self.cfg.window), np.zeros(self.cfg.d_b)
+        newest = self.state.episodes[-1]
+        return newest.transitions[i].next_traj, newest.beliefs[i]
 
     # -- inference phase ----------------------------------------------------
 
@@ -177,8 +182,9 @@ class Orchestrator:
 
         beliefs, embeddings, observations, requests = [], [], [], []
         for i, net in enumerate(self.belief_nets):
-            obs = Observation(e_t, e_s, self.state.prev_beliefs[i]).as_array()
-            belief = net.compute_belief(self.state.trajectories[i], obs)
+            traj, prior_belief = self._history(i)
+            obs = Observation(e_t, e_s, prior_belief).as_array()
+            belief = net.compute_belief(traj, obs)
             temp, pen = net.embed_prompt(belief)
             pe = PromptEmbedding(float(temp.value), float(pen.value))
             beliefs.append(belief.value.copy())
@@ -228,25 +234,22 @@ class Orchestrator:
     # -- state transitions between episodes ----------------------------------
 
     def absorb_episode(self, record: EpisodeRecord):
-        """Append transitions, update trajectories/EMAs. Run after inference."""
+        """Give the record its agents' transitions (appending to a snapshot,
+        never to an earlier record's trajectory), store it, update the EMAs."""
         st = self.state
-        for i in range(len(self.agents)):
-            action = record.prompt_embeddings[i].as_array()
-            before = st.trajectories[i].snapshot()
-            st.trajectories[i].append(action, record.observations[i])
-            st.buffers[i].append(Transition(
+        record.transitions = []
+        for i, pe in enumerate(record.prompt_embeddings):
+            action = pe.as_array()
+            before, _ = self._history(i)
+            after = before.snapshot()
+            after.append(action, record.observations[i])
+            record.transitions.append(Transition(
                 traj=before, obs=record.observations[i], action=action,
-                reward=record.rewards[i],
-                next_traj=st.trajectories[i].snapshot(),
-                next_obs=record.observations[i],
-                terminal=True))
-            st.prev_beliefs[i] = record.beliefs[i]
-            st.expected_rewards[i] = (
-                self.EXPECTED_REWARD_DECAY * st.expected_rewards[i]
-                + (1.0 - self.EXPECTED_REWARD_DECAY) * record.rewards[i])
-        st.cached_episodes.append(record)
-        if len(st.cached_episodes) > self.cfg.buffer:
-            st.cached_episodes.pop(0)
+                reward=record.rewards[i], next_traj=after,
+                next_obs=record.observations[i], terminal=True))
+        d = self.EXPECTED_REWARD_DECAY
+        st.expected_rewards = d * st.expected_rewards + (1.0 - d) * np.array(record.rewards)
+        st.episodes.append(record)
         st.episode += 1
 
     # -- optimization phase --------------------------------------------------
@@ -254,21 +257,23 @@ class Orchestrator:
     def run_optimization(self) -> dict:
         """One optimizer step per parameter family over the newest batch.
 
-        Returns a loss report; if any buffer is short the step is skipped
-        and the report says so.
+        Returns a loss report; while the episode store holds fewer than
+        `batch` episodes the step is skipped and the report says so.
         """
         st = self.state
         batch_size = self.cfg.batch
-        if any(len(b) < batch_size for b in st.buffers):
+        if len(st.episodes) < batch_size:
             return {"skipped": True,
                     "reason": f"buffer below batch size {batch_size}"}
+        episodes = list(st.episodes)[-batch_size:]
+        batches = [[rec.transitions[i] for rec in episodes]
+                   for i in range(len(self.agents))]
         order = []
 
         # local belief-net TD steps
         l_tds = []
         for i, net in enumerate(self.belief_nets):
-            batch = st.buffers[i].sample_latest(batch_size)
-            loss = net.td_loss(batch, self.cfg.gamma)
+            loss = net.td_loss(batches[i], self.cfg.gamma)
             net.params.zero_grads()
             loss.backward()
             adam_step(net.params, self.opt)
@@ -276,13 +281,10 @@ class Orchestrator:
             l_tds.append(float(loss.value))
             order.append(f"belief_{i}")
 
-        episodes = st.cached_episodes[-batch_size:]
-        trans = [st.buffers[i].sample_latest(batch_size)
-                 for i in range(len(self.agents))]
         # post-TD local Q-values (B, N), shared by the encoder and mixing steps
         local_qs = np.stack([
-            net.local_q_batch([t.traj for t in trans[i]],
-                              [t.action for t in trans[i]]).value
+            net.local_q_batch([t.traj for t in batches[i]],
+                              [t.action for t in batches[i]]).value
             for i, net in enumerate(self.belief_nets)], axis=1)
         embeddings = np.stack([[pe.as_array() for pe in rec.prompt_embeddings]
                                for rec in episodes])

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from econ.backends import (
     Utterance,
     VirtualClock,
     embed_text,
+    run_concurrently,
     run_jobs,
     tokenize,
     truncate_strategy,
@@ -355,3 +357,36 @@ class TestJobQueue:
         assert len(outs) == 7
         solo = [be.generate(r).text for r in reqs]
         assert [u.text for u in outs] == solo
+
+    def test_first_failure_in_job_order_reaches_caller(self):
+        second_failed = threading.Event()
+
+        class Failing(MockBackend):
+            def generate(self, request):
+                if request.query == "q1":
+                    second_failed.wait(timeout=5.0)
+                    raise RuntimeError("down at q1")
+                if request.query == "q2":
+                    second_failed.set()
+                    raise RuntimeError("down at q2")
+                return super().generate(request)
+
+        reqs = [exec_request(query=f"q{i}") for i in range(7)]
+        with pytest.raises(RuntimeError, match="down at q1"):
+            run_jobs(reqs, Failing(seed=6), batch_size=3)
+
+    def test_run_concurrently_joins_every_call_before_raising(self):
+        finished = []
+
+        def fail():
+            raise KeyError("first")
+
+        def slow():
+            time.sleep(0.05)
+            finished.append("slow")
+            return 1
+
+        with pytest.raises(KeyError, match="first"):
+            run_concurrently([fail, slow])
+        assert finished == ["slow"]
+        assert run_concurrently([lambda: 1, lambda: 2]) == [1, 2]

@@ -8,7 +8,6 @@ from econ.beliefs import (
     Observation,
     PromptBounds,
     PromptEmbedding,
-    ReplayBuffer,
     Trajectory,
     Transition,
     belief_entropy,
@@ -81,29 +80,6 @@ class TestTrajectory:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             Trajectory(window=0)
-
-
-class TestReplayBuffer:
-    def test_fifo_bound(self):
-        buf = ReplayBuffer(capacity=3)
-        for i in range(5):
-            buf.append(make_transition(seed=i, reward=float(i)))
-        assert len(buf) == 3
-        assert [t.reward for t in buf.sample_latest(3)] == [2.0, 3.0, 4.0]
-
-    def test_spill_restore_round_trip(self, tmp_path):
-        buf = ReplayBuffer(capacity=4)
-        for i in range(3):
-            buf.append(make_transition(seed=i, terminal=(i == 2)))
-        path = tmp_path / "replay.bin"
-        buf.spill(path)
-        restored = ReplayBuffer.restore(path, capacity=4)
-        assert len(restored) == 3
-        a, b = buf.sample_latest(3)[1], restored.sample_latest(3)[1]
-        np.testing.assert_allclose(a.obs, b.obs)
-        np.testing.assert_allclose(a.action, b.action)
-        assert a.terminal == b.terminal
-        assert len(a.traj) == len(b.traj)
 
 
 class TestForward:

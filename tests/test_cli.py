@@ -29,6 +29,8 @@ def test_check_is_not_a_command():
     ["hier", "--rounds", "0"],
     ["hier", "--clusters", "0"],
     ["hier", "--agents", "0"],
+    ["hier", "--agents", "2", "--clusters", "3"],
+    ["hier", "--agents", "13", "--clusters", "3"],
     ["game-lab", "--game", "matching_pennies", "--steps", "50"],
     ["game-lab", "--game", "matching_pennies", "--steps", "99"],
 ])

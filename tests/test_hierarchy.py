@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from econ.backends import MockBackend
+from econ.backends import MockBackend, ROLE_EXECUTION
 from econ.config import RunConfig
 from econ.hierarchy import (
     Cluster,
@@ -96,6 +96,22 @@ class TestHierRound:
             assert e["parallel_clusters"]
             assert len(e["cluster_rewards"]) == 3
 
+    def test_cluster_failure_reaches_caller(self):
+        class Broken(MockBackend):
+            def generate(self, request):
+                if request.role == ROLE_EXECUTION:
+                    raise RuntimeError("backend down")
+                return super().generate(request)
+
+        agents = [MockBackend(seed=100 + i, embed_dim=EMBED) for i in range(3)]
+        agents.append(Broken(seed=103, embed_dim=EMBED))
+        hier = HierOrchestrator(
+            small_cfg(agents=4), MockBackend(seed=50, embed_dim=EMBED),
+            [MockBackend(seed=60 + c, embed_dim=EMBED) for c in range(2)],
+            agents, 2)
+        with pytest.raises(RuntimeError, match="backend down"):
+            hier.run_hier_round("q")
+
     def test_global_mixing_monotone_after_steps(self):
         hier = make_hier()
         for t in range(3):
@@ -107,7 +123,7 @@ class TestHierRound:
         assert res["passes"]
 
     def test_skipped_cluster_updates_leave_params_unchanged(self):
-        hier = make_hier()  # batch=2, first round leaves buffers short
+        hier = make_hier()  # batch=2, first round leaves episode stores short
         rnd = hier.run_hier_round("q")
         hier.absorb_round(rnd)
         before = {i: o.checksums() for i, o in enumerate(hier.cluster_orchs)}

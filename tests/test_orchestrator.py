@@ -5,7 +5,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from econ.backends import Backend, INVALID_SENTINEL, MockBackend, ROLE_COORD_FINAL, Utterance
+from econ.backends import (
+    Backend,
+    INVALID_SENTINEL,
+    MockBackend,
+    ROLE_COORD_FINAL,
+    ROLE_EXECUTION,
+    Utterance,
+)
 from econ.config import RunConfig
 from econ.orchestrator import EarlyStopConfig, EpisodeRecord, Orchestrator
 
@@ -35,6 +42,15 @@ class AlwaysInvalid(Backend):
 
     def generate(self, request):
         return Utterance.invalid(self.embed_dim)
+
+
+class Broken(MockBackend):
+    """An execution agent whose backend raises."""
+
+    def generate(self, request):
+        if request.role == ROLE_EXECUTION:
+            raise RuntimeError("backend down")
+        return super().generate(request)
 
 
 class InvalidFinal(MockBackend):
@@ -88,6 +104,18 @@ class TestInference:
         assert rec.breakdowns[1] is None
         assert rec.rewards[0] > 0.0 and rec.rewards[2] > 0.0
         assert not rec.degenerate
+
+    def test_shared_backend_failure_reaches_caller(self):
+        broken = Broken(seed=101, embed_dim=EMBED)
+        with pytest.raises(RuntimeError, match="backend down"):
+            make_orch(agents=[broken] * 3).run_inference("q")
+
+    def test_distinct_backend_failure_reaches_caller(self):
+        agents = [MockBackend(seed=101, embed_dim=EMBED),
+                  Broken(seed=102, embed_dim=EMBED),
+                  MockBackend(seed=103, embed_dim=EMBED)]
+        with pytest.raises(RuntimeError, match="backend down"):
+            make_orch(agents=agents).run_inference("q")
 
     def test_all_invalid_is_degenerate(self):
         cfg = small_cfg()
@@ -168,10 +196,25 @@ class TestOptimization:
         records = [orch.run_inference(f"q{i}") for i in range(6)]
         for r in records:
             orch.absorb_episode(r)
-        assert len(orch.state.buffers[0]) == 4
-        newest = orch.state.buffers[0].sample_latest(1)[0]
+        assert list(orch.state.episodes) == records[2:]
+        newest = orch.state.episodes[-1].transitions[0]
         np.testing.assert_array_equal(
             newest.action, records[-1].prompt_embeddings[0].as_array())
+
+    def test_history_outlives_eviction(self):
+        cfg = small_cfg(buffer=2, batch=1, window=4, episodes=8)
+        orch = make_orch(cfg)
+        records = [orch.run_inference(f"q{i}") for i in range(6)]
+        for r in records:
+            orch.absorb_episode(r)
+        assert len(orch.state.episodes) == 2
+        for i in range(3):
+            pairs = orch.state.episodes[-1].transitions[i].next_traj.pairs()
+            assert len(pairs) == 4
+            for (action, obs), rec in zip(pairs, records[-4:]):
+                np.testing.assert_array_equal(
+                    action, rec.prompt_embeddings[i].as_array())
+                np.testing.assert_array_equal(obs, rec.observations[i])
 
 
 def fake_record(final_embedding, rewards):
