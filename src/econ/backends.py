@@ -314,17 +314,18 @@ class HttpConfig:
     api_key: str = field(default_factory=lambda: os.environ.get("ECON_API_KEY", ""))
     model: str = "default"
     context_cap: int = 2048
-    max_retries: int = 3
-    backoff_waits: tuple = (10.0, 20.0, 30.0)
 
 
 class HttpBackend(Backend):
     """OpenAI-compatible chat-completions client.
 
-    Retries a failed call up to `max_retries` times with non-decreasing
-    waits in [10, 30] seconds (scaled by the injected clock); exhausted
-    retries or malformed responses yield the invalid sentinel utterance.
+    Retries a failed call up to `MAX_RETRIES` times with the non-decreasing
+    `BACKOFF_WAITS` in [10, 30] seconds (scaled by the injected clock);
+    exhausted retries or malformed responses yield the invalid sentinel.
     """
+
+    MAX_RETRIES = 3
+    BACKOFF_WAITS = (10.0, 20.0, 30.0)
 
     def __init__(self, cfg: HttpConfig, budget: RateBudget, clock=None,
                  transport=None, call_log_path=None, embed_dim: int = 256):
@@ -366,7 +367,7 @@ class HttpBackend(Backend):
     def generate(self, request: GenerationRequest) -> Utterance:
         payload = self._payload(request)
         tokens_in = sum(len(tokenize(m["content"])) for m in payload["messages"])
-        attempts = 1 + self.cfg.max_retries
+        attempts = 1 + self.MAX_RETRIES
         for attempt in range(1, attempts + 1):
             ts = self.budget.acquire(tokens_in + payload["max_tokens"])
             try:
@@ -376,8 +377,7 @@ class HttpBackend(Backend):
                            "tokens_in": tokens_in, "tokens_out": 0,
                            "status": f"error: {exc}"})
                 if attempt < attempts:
-                    self.clock.sleep(self.cfg.backoff_waits[min(
-                        attempt - 1, len(self.cfg.backoff_waits) - 1)])
+                    self.clock.sleep(self.BACKOFF_WAITS[attempt - 1])
                 continue
             text = self._extract(resp)
             if text is None:
@@ -424,12 +424,15 @@ def run_concurrently(calls: list) -> list:
     return results
 
 
-def run_jobs(requests: list[GenerationRequest], backend: Backend,
-             batch_size: int = 4) -> list[Utterance]:
+# at most this many threads per mini-batch: a run's agent count is unbounded
+JOB_BATCH_SIZE = 4
+
+
+def run_jobs(requests: list[GenerationRequest], backend: Backend) -> list[Utterance]:
     """Dispatch generation requests in mini-batches of concurrent calls.
     A failed call's exception reaches the caller after its batch joins."""
     results: list = []
-    for start in range(0, len(requests), batch_size):
+    for start in range(0, len(requests), JOB_BATCH_SIZE):
         results += run_concurrently([functools.partial(backend.generate, r)
-                                     for r in requests[start:start + batch_size]])
+                                     for r in requests[start:start + JOB_BATCH_SIZE]])
     return results

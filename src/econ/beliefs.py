@@ -33,12 +33,6 @@ class PromptEmbedding:
     def as_array(self) -> np.ndarray:
         return np.array([self.temperature, self.repetition_penalty])
 
-    def clip(self, bounds: PromptBounds) -> "PromptEmbedding":
-        return PromptEmbedding(
-            float(np.clip(self.temperature, bounds.t_min, bounds.t_max)),
-            float(np.clip(self.repetition_penalty, bounds.p_min, bounds.p_max)),
-        )
-
 
 @dataclass
 class Observation:
@@ -213,11 +207,6 @@ class BeliefNetwork:
         pen = b.p_min + (b.p_max - b.p_min) * p.sigmoid()
         return temp, pen
 
-    def prompt_embedding(self, traj: Trajectory, obs: np.ndarray) -> PromptEmbedding:
-        belief = self.compute_belief(traj, obs)
-        temp, pen = self.embed_prompt(belief)
-        return PromptEmbedding(float(temp.value), float(pen.value))
-
     def local_q(self, traj: Trajectory, embedding: np.ndarray, params=None) -> Tensor:
         return self.local_q_batch([traj], [embedding], params).reshape(())
 
@@ -229,8 +218,8 @@ class BeliefNetwork:
     def _target_params(self):
         return _FrozenView(self.target)
 
-    def action_grid(self, k: int | None = None) -> np.ndarray:
-        k = k or self.cfg.target_grid
+    def action_grid(self) -> np.ndarray:
+        k = self.cfg.target_grid
         if k < 2:
             raise ValueError("target grid needs k >= 2")
         b = self.cfg.bounds
@@ -238,16 +227,13 @@ class BeliefNetwork:
         ps = np.linspace(b.p_min, b.p_max, k)
         return np.array([(t, p) for t in ts for p in ps])
 
-    def max_target_q(self, next_traj: Trajectory, k: int | None = None) -> float:
-        return float(self._max_target_qs([next_traj], k)[0])
-
-    def _max_target_qs(self, next_trajs: list, k: int | None = None) -> np.ndarray:
+    def _max_target_qs(self, next_trajs: list) -> np.ndarray:
         """Per trajectory, the target Q head's maximum over the action grid,
         from one (B, grid) forward."""
         params = self._target_params()
         enc = self._encode(next_trajs, params)
         q = self._q_head(enc.reshape(len(next_trajs), 1, self.cfg.belief_dim),
-                         self.action_grid(k), params)
+                         self.action_grid(), params)
         return q.value.max(axis=1)
 
     # -- losses -------------------------------------------------------------
@@ -280,18 +266,3 @@ def soft_update(live: ParamStore, target: ParamStore, tau: float):
             raise ValueError(f"shape mismatch for '{name}' in soft update")
         t.value = tau * src + (1.0 - tau) * t.value
 
-
-def belief_entropy(beliefs: list[np.ndarray]) -> float:
-    """Shannon entropy of softmax-normalized belief vectors, summed over
-    agents. Lies in [0, N * log(d)]."""
-    if not beliefs:
-        raise ValueError("belief_entropy needs at least one belief")
-    total = 0.0
-    for b in beliefs:
-        b = np.asarray(b, dtype=np.float64)
-        z = b - b.max()
-        q = np.exp(z)
-        q /= q.sum()
-        nz = q > 0
-        total += float(-(q[nz] * np.log(q[nz])).sum())
-    return total

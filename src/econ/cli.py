@@ -23,11 +23,16 @@ def _mock_backends(cfg, extra: int = 0):
 
 
 def _load_cfg(args):
-    from .config import RunConfig, load_config
+    """The run config from --config and --seed; an invalid one ends the
+    command with exit code 2 before anything is written."""
+    from .config import ConfigError, RunConfig, load_config
 
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+    try:
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+    except ConfigError as exc:
+        args.error(f"invalid config: {exc}")
     return cfg
 
 
@@ -122,11 +127,16 @@ def cmd_hier(args) -> int:
 
 def cmd_game_lab(args) -> int:
     from .gamelab import fit_regret_exponent, load_game, load_shipped_game, run_debate, run_econ
+    from .gamelab.games import shipped_game_names
 
+    shipped = shipped_game_names()
     if os.path.exists(args.game):
         game = load_game(args.game)
-    else:
+    elif args.game in shipped:
         game = load_shipped_game(args.game)
+    else:
+        args.error(f"--game {args.game!r} is neither a file nor a shipped game "
+                   f"({', '.join(shipped)})")
     runner = run_econ if args.learner == "econ" else run_debate
     _, trace = runner(game, args.steps, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -147,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", default=None)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", default="runs/train")
-    t.set_defaults(fn=cmd_train)
+    t.set_defaults(fn=cmd_train, error=t.error)
 
     e = sub.add_parser("eval", help="inference-only evaluation")
     e.add_argument("--config", default=None)
     e.add_argument("--seed", type=int, default=None)
     e.add_argument("--episodes", type=_at_least(1), default=8)
     e.add_argument("--out", default="runs/eval")
-    e.set_defaults(fn=cmd_eval)
+    e.set_defaults(fn=cmd_eval, error=e.error)
 
     h = sub.add_parser("hier", help="hierarchical training")
     h.add_argument("--config", default=None)
@@ -173,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"learner steps (at least {MIN_FIT_STEPS}, to fit the regret exponent)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="runs/gamelab")
-    g.set_defaults(fn=cmd_game_lab)
+    g.set_defaults(fn=cmd_game_lab, error=g.error)
 
     return p
 

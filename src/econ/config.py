@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __version__ = "0.1.0"
 
@@ -115,6 +115,8 @@ class RunConfig:
                     f"value {value!r} for '{f.name}' out of range (allowed: {rng})")
         if self.batch > self.buffer:
             raise ConfigError("batch must not exceed buffer capacity")
+        if self.d % self.heads != 0:
+            raise ConfigError("heads must divide the model dimension d")
         if not self.t_min < self.t_max:
             raise ConfigError("t_min must be < t_max")
         if not self.p_min < self.p_max:
@@ -221,15 +223,11 @@ class MetricsRow:
         return [getattr(self, c) for c in METRICS_COLUMNS]
 
 
-def emit_metrics(rows: list, path, append: bool = False):
+def emit_metrics(rows: list, path):
     """Header-first CSV with a fixed column order."""
-    import os
-
-    write_header = not (append and os.path.exists(path) and os.path.getsize(path) > 0)
-    with open(path, "a" if append else "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if write_header:
-            w.writerow(METRICS_COLUMNS)
+        w.writerow(METRICS_COLUMNS)
         for r in rows:
             w.writerow([f"{v:.10g}" if isinstance(v, float) else v
                         for v in r.as_list()])
@@ -303,7 +301,7 @@ def json_line(record: dict) -> str:
     return json.dumps(finite(record), allow_nan=False) + "\n"
 
 
-def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None):
+def write_manifest(path, cfg: RunConfig, command: str):
     """Everything needed to reproduce the run byte-for-byte in mock mode."""
     manifest = {
         "command": command,
@@ -312,8 +310,6 @@ def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None
         "seed": cfg.seed,
         "code_version": __version__,
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

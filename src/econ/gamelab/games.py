@@ -373,10 +373,19 @@ def load_game(path) -> FiniteBayesianGame:
         return parse_game(fh.read())
 
 
-def shipped_game_path(stem: str):
+def _shipped_games_dir():
     from importlib import resources
 
-    return resources.files("econ.gamelab") / "games" / f"{stem}.game"
+    return resources.files("econ.gamelab") / "games"
+
+
+def shipped_game_path(stem: str):
+    return _shipped_games_dir() / f"{stem}.game"
+
+
+def shipped_game_names() -> list[str]:
+    return sorted(p.name.removesuffix(".game") for p in _shipped_games_dir().iterdir()
+                  if p.name.endswith(".game"))
 
 
 def load_shipped_game(stem: str) -> FiniteBayesianGame:

@@ -10,7 +10,7 @@ step, and the ordered report proves it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +43,15 @@ class Cluster:
                 f"(limit {MAX_CLUSTER_SIZE})")
 
 
-def assign_clusters(agent_ids: list, k: int, policy=None) -> list[Cluster]:
-    """Balanced round-robin partition by default; `policy` may supply an
-    alternative grouping as a list of member lists."""
+def assign_clusters(agent_ids: list, k: int) -> list[Cluster]:
+    """Balanced round-robin partition."""
     n = len(agent_ids)
     if k < 1 or k > n:
         raise ValueError("need 1 <= K <= number of agents")
-    if policy is not None:
-        groups = policy(agent_ids, k)
-    else:
-        groups = [[] for _ in range(k)]
-        for idx, aid in enumerate(agent_ids):
-            groups[idx % k].append(aid)
-    clusters = [Cluster(c, members) for c, members in enumerate(groups)]
-    seen = [a for c in clusters for a in c.members]
-    if sorted(seen) != sorted(agent_ids):
-        raise ValueError("cluster assignment must cover every agent exactly once")
-    return clusters
+    groups = [[] for _ in range(k)]
+    for idx, aid in enumerate(agent_ids):
+        groups[idx % k].append(aid)
+    return [Cluster(c, members) for c, members in enumerate(groups)]
 
 
 @dataclass
@@ -81,13 +73,13 @@ class HierOrchestrator:
 
     def __init__(self, cfg: RunConfig, global_coordinator,
                  local_coordinators: list, agents: list, k: int,
-                 evaluator=None, policy=None):
+                 evaluator=None):
         if len(local_coordinators) != k:
             raise ValueError("need one local coordinator per cluster")
         self.cfg = cfg
         self.k = k
         self.global_coordinator = global_coordinator
-        self.clusters = assign_clusters(list(range(len(agents))), k, policy)
+        self.clusters = assign_clusters(list(range(len(agents))), k)
         self.cluster_orchs = []
         for c, coord in zip(self.clusters, local_coordinators):
             member_backends = [agents[i] for i in c.members]

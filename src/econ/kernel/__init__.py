@@ -5,8 +5,6 @@ from .ops import (
     cosine_sim_node,
     finite_diff_check,
     multi_head_attention,
-    sigmoid,
-    softmax,
 )
 from .params import CHECKPOINT_VERSION, ParamStore, uniform_init
 from .tensor import NonFiniteError, Tensor, concat, stack
@@ -24,8 +22,6 @@ __all__ = [
     "cosine_sim_node",
     "finite_diff_check",
     "multi_head_attention",
-    "sigmoid",
-    "softmax",
     "stack",
     "uniform_init",
 ]

@@ -1,4 +1,4 @@
-"""Scalar/vector helpers, multi-head self-attention and the gradient-check oracle."""
+"""Cosine similarity, multi-head self-attention and the gradient-check oracle."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import warnings
 import numpy as np
 
 from .params import ParamStore, uniform_init
-from .tensor import NonFiniteError, Tensor, stable_sigmoid
-
-
-def sigmoid(x: float) -> float:
-    """Stable logistic function for a finite scalar."""
-    if not math.isfinite(x):
-        raise NonFiniteError("sigmoid requires finite input")
-    return float(stable_sigmoid(np.asarray([x]))[0])
+from .tensor import Tensor
 
 
 def cosine_sim(u, v) -> float:
@@ -48,21 +41,6 @@ def cosine_sim_node(u: Tensor, v: Tensor) -> Tensor:
     nu = ((u * u).sum(axis=-1) + zero_u).sqrt()
     nv = ((v * v).sum(axis=-1) + zero_v).sqrt()
     return (u * v).sum(axis=-1) / (nu * nv) * live
-
-
-def softmax(v, scale: float = 1.0) -> np.ndarray:
-    """Max-subtraction stabilized softmax of a vector times `scale`."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("softmax of an empty vector")
-    if scale <= 0:
-        raise ValueError("softmax scale must be > 0")
-    if not np.isfinite(v).all():
-        raise NonFiniteError("softmax requires finite input")
-    z = scale * v
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def attention_params(store: ParamStore, prefix: str, rng: np.random.Generator,

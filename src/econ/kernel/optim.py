@@ -1,4 +1,4 @@
-"""Adam / AdamW on a ParamStore."""
+"""Adam on a ParamStore."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    weight_decay: float = 0.0  # > 0 selects the AdamW variant
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -35,7 +34,7 @@ def adam_step(store: ParamStore, cfg: OptimizerConfig):
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     for name, p in store.items():
-        if p.grad is None and cfg.weight_decay == 0 and store.moments_are_zero(name):
+        if p.grad is None and store.moments_are_zero(name):
             continue  # zero gradient on zero moments: the update is exactly 0
         g = p.grad if p.grad is not None else np.zeros_like(p.value)
         if not np.all(np.isfinite(g)):
@@ -56,8 +55,6 @@ def adam_step(store: ParamStore, cfg: OptimizerConfig):
         den += cfg.epsilon
         np.divide(m, bc1, out=tmp)
         tmp /= den
-        if cfg.weight_decay > 0:
-            p.value -= cfg.learning_rate * cfg.weight_decay * p.value
         tmp *= cfg.learning_rate
         p.value -= tmp
     store.zero_grads()

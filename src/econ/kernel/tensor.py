@@ -65,13 +65,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def size(self):
-        return self.value.size
-
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -297,9 +290,6 @@ class Tensor:
 
     def dot(self, other: "Tensor") -> "Tensor":
         return (self * other).sum()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value.copy())
 
     # -- backward -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ only through hypernetwork-generated biases and gains of the form
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,10 +144,6 @@ class MixingNetwork:
                 f"expected {self.n_agents} features, got {len(features)}")
         return self._q_tot(q, stack(features), params)
 
-    def forward(self, local_qs, embeddings, group, params=None) -> tuple[Tensor, list[Tensor]]:
-        q_tot, features = self.forward_batch(local_qs, embeddings, group, params)
-        return q_tot, [features[i] for i in range(self.n_agents)]
-
     # -- losses -------------------------------------------------------------
 
     def _sd_terms(self, features: Tensor, c_embed, params) -> Tensor:
@@ -158,17 +154,10 @@ class MixingNetwork:
             raise ValueError(
                 f"final-output embedding of shape {c.shape}, expected (..., {self.c_dim})")
         if (np.linalg.norm(c, axis=-1) == 0.0).any():
-            warnings.warn("sd_loss against a zero final-output embedding",
+            warnings.warn("feature alignment against a zero final-output embedding",
                           RuntimeWarning, stacklevel=3)
         cos = cosine_sim_node(features @ params["sd.w"], Tensor(c[..., None, :]))
         return (1.0 - cos).square().sum(axis=-1)
-
-    def sd_loss(self, features: list[Tensor], c_embed: np.ndarray,
-                lam_b: float, params=None) -> Tensor:
-        """Alignment of per-agent features (projected into the output
-        embedding space) with the final-output embedding."""
-        params = params if params is not None else self.params
-        return self._sd_terms(stack(features), c_embed, params) * lam_b
 
     def mixing_loss(self, batch: list[MixingBatchItem], gamma: float,
                     lam_m: float, lam_b: float) -> Tensor:

@@ -9,7 +9,6 @@ followed by Euclidean projection back onto the probability simplex.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,15 +144,3 @@ def update_reward_weights(weights: RewardWeights,
         residual = float(weights.alphas @ comps) - exp
         grad += 2.0 * residual * comps
     return RewardWeights(project_simplex(weights.alphas - lr * grad))
-
-
-def reward_log_line(agent: str, bd: RewardBreakdown, weights: RewardWeights, episode: int) -> dict:
-    return {
-        "agent": agent,
-        "r_al": bd.r_al,
-        "r_ts": bd.r_ts,
-        "r_cc": bd.r_cc,
-        "alpha": weights.alphas.tolist(),
-        "blended": bd.blended,
-        "episode": episode,
-    }

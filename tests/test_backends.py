@@ -353,7 +353,7 @@ class TestJobQueue:
     def test_results_ordered_and_complete(self):
         be = MockBackend(seed=6)
         reqs = [exec_request(query=f"q{i}") for i in range(7)]
-        outs = run_jobs(reqs, be, batch_size=3)
+        outs = run_jobs(reqs, be)
         assert len(outs) == 7
         solo = [be.generate(r).text for r in reqs]
         assert [u.text for u in outs] == solo
@@ -373,7 +373,7 @@ class TestJobQueue:
 
         reqs = [exec_request(query=f"q{i}") for i in range(7)]
         with pytest.raises(RuntimeError, match="down at q1"):
-            run_jobs(reqs, Failing(seed=6), batch_size=3)
+            run_jobs(reqs, Failing(seed=6))
 
     def test_run_concurrently_joins_every_call_before_raising(self):
         finished = []

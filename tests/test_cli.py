@@ -13,6 +13,31 @@ def test_non_mock_backend_refused(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "hier"])
+def test_invalid_config_exits_before_writing(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nheads = 3\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "heads must divide the model dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_game_lab_unknown_game_names_shipped_games(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["game-lab", "--game", "nosuch", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nosuch'" in err
+    for name in ("coordination_typed", "dominant_three", "matching_pennies",
+                 "matching_pennies_typed"):
+        assert name in err
+    assert not out.exists()
+
+
 def test_train_has_no_backend_flag():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--backend", "mock"])

@@ -123,11 +123,11 @@ class TestMonotonicity:
             qs = r.normal(size=3)
             emb = r.uniform(0.1, 1.0, size=(3, 2))
             group = r.normal(size=5)
-            base = float(net.forward(qs, emb, group)[0].value)
+            base = float(net.forward_batch(qs, emb, group)[0].value)
             for i in range(3):
                 up = qs.copy()
                 up[i] += 0.37
-                assert float(net.forward(up, emb, group)[0].value) >= base - 1e-10
+                assert float(net.forward_batch(up, emb, group)[0].value) >= base - 1e-10
 
 
 class TestMixingLosses:
@@ -145,32 +145,37 @@ class TestMixingLosses:
         item = make_item(seed=12)
 
         def loss():
-            _, features = net.forward(item.local_qs, item.embeddings, item.group)
-            return net.sd_loss(features, item.c_embed, lam_b=0.2)
+            _, features = net.forward_batch(item.local_qs, item.embeddings, item.group)
+            return net._sd_terms(features, item.c_embed, net.params)
 
         assert finite_diff_check(loss, net.params) < 1e-4
 
     def test_sd_loss_zero_embed_warns(self):
         net = make_mixing(13)
-        _, features = net.forward(np.zeros(3), np.full((3, 2), 0.5), np.ones(5))
-        with pytest.warns(RuntimeWarning):
-            net.sd_loss(features, np.zeros(6), lam_b=0.1)
+        item = make_item(seed=13)
+        item.c_embed = np.zeros(6)
+        with pytest.warns(RuntimeWarning) as caught:
+            net.mixing_loss([item], gamma=0.9, lam_m=0.1, lam_b=0.1)
+        assert any("zero final-output embedding" in str(w.message) for w in caught)
 
     def test_sd_loss_dim_checked(self):
         net = make_mixing(14)
-        _, features = net.forward(np.zeros(3), np.full((3, 2), 0.5), np.ones(5))
-        with pytest.raises(ValueError):
-            net.sd_loss(features, np.zeros(9), lam_b=0.1)
+        item = make_item(seed=14, c_dim=9)
+        with pytest.raises(ValueError, match="final-output embedding"):
+            net.mixing_loss([item], gamma=0.9, lam_m=0.1, lam_b=0.1)
 
     def test_terminal_drops_bootstrap(self):
         net = make_mixing(15)
         item = make_item(seed=16, terminal=True)
-        q_tot, features = net.forward(item.local_qs, item.embeddings, item.group)
+        q_tot, features = net.forward_batch(item.local_qs, item.embeddings, item.group)
         td = (item.r_tot - float(q_tot.value)) ** 2
-        sd = float(net.sd_loss(features, item.c_embed, 0.1).value)
+        proj = features.value @ net.params["sd.w"].value
+        cos = proj @ item.c_embed / (np.linalg.norm(proj, axis=1)
+                                     * np.linalg.norm(item.c_embed))
+        sd = float(((1.0 - cos) ** 2).sum())
         cons = sum((float(item.local_qs[i]) - float(q_tot.value)) ** 2
                    for i in range(3))
-        expected = td + sd + 0.1 * cons
+        expected = td + 0.1 * sd + 0.1 * cons
         loss = net.mixing_loss([item], gamma=0.9, lam_m=0.1, lam_b=0.1)
         assert float(loss.value) == pytest.approx(expected)
 

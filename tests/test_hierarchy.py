@@ -66,11 +66,6 @@ class TestClustering:
         with pytest.raises(ValueError):
             Cluster(0, [])
 
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="exactly once"):
-            assign_clusters(list(range(4)), 2,
-                            policy=lambda ids, k: [[0, 1], [1, 2]])
-
 
 class TestHierRound:
     def test_round_shape_and_reward_range(self):

@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 from econ.rewards import (
     Evaluator,
     ExactMatchEvaluator,
-    RewardBreakdown,
     RewardWeights,
     blend,
     compute_breakdown,
     jaccard_distinctness,
     project_simplex,
-    reward_log_line,
     update_reward_weights,
 )
 
@@ -119,13 +117,6 @@ class TestComponents:
         assert bd.r_al == pytest.approx(0.8)
         assert bd.clipped[0] and bd.clipped[1]
         assert abs(bd.blended) <= 0.8 + 1e-12
-
-    def test_log_line_fields(self):
-        bd = RewardBreakdown(0.1, 0.2, 0.3, 0.18, (False, False, False))
-        line = reward_log_line("agent-1", bd, RewardWeights(), episode=4)
-        assert line["agent"] == "agent-1"
-        assert line["episode"] == 4
-        assert line["alpha"] == [0.4, 0.4, 0.2]
 
 
 @given(st.integers(0, 2 ** 31 - 1))

@@ -3,8 +3,12 @@
 For seeds 1-3 at `RunConfig(seed=s)`, and for one run whose episode store is
 smaller than the trajectory window (`RunConfig(seed=4, buffer=4, batch=2,
 episodes=40)`), it digests the metrics rows, `episodes.jsonl`, the loss
-reports and `Orchestrator.checksums()`. Two trees that train identically
-print identical lines, so a refactor that claims exactness is checked with
+reports and `Orchestrator.checksums()`. For one hierarchical run, seeded as
+`econ hier` seeds it (seed 1, 9 agents, 3 clusters, 5 rounds), it digests
+`rounds.jsonl`, the round reports, every cluster orchestrator's
+`checksums()` and the global mixing store's checksum. Two trees that train
+identically print identical lines, so a refactor that claims exactness is
+checked with
 
     python3 tools/run_digest.py > after.json     # in the changed tree
     python3 tools/run_digest.py > before.json    # in the parent's tree
@@ -25,6 +29,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from econ.backends import MockBackend  # noqa: E402
 from econ.config import RunConfig, subsystem_seed  # noqa: E402
+from econ.hierarchy import HierOrchestrator  # noqa: E402
 from econ.orchestrator import Orchestrator  # noqa: E402
 
 RUNS = {
@@ -33,23 +38,30 @@ RUNS = {
     "seed3": dict(seed=3),
     "buffer_below_window": dict(seed=4, buffer=4, batch=2, episodes=40),
 }
+QUESTIONS = [f"question-{i}" for i in range(8)]
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def mock_backends(cfg: RunConfig, extra: int = 0):
+    """A coordinator and `cfg.agents + extra` agents, seeded as the CLI
+    seeds them."""
+    gen_seed = subsystem_seed(cfg.seed, "generation")
+    return MockBackend(seed=gen_seed), [MockBackend(seed=gen_seed + 1 + i)
+                                        for i in range(cfg.agents + extra)]
+
+
 def run_digests(**overrides) -> dict:
     """Digests of one `Orchestrator.train` run, with backends seeded as
     `econ train` seeds them."""
     cfg = RunConfig(**overrides)
-    gen_seed = subsystem_seed(cfg.seed, "generation")
-    agents = [MockBackend(seed=gen_seed + 1 + i) for i in range(cfg.agents)]
-    orch = Orchestrator(cfg, MockBackend(seed=gen_seed), agents)
+    coordinator, agents = mock_backends(cfg)
+    orch = Orchestrator(cfg, coordinator, agents)
     with tempfile.TemporaryDirectory() as tmp:
         log = os.path.join(tmp, "episodes.jsonl")
-        rows, reports = orch.train([f"question-{i}" for i in range(8)],
-                                   episode_log_path=log)
+        rows, reports = orch.train(QUESTIONS, episode_log_path=log)
         with open(log) as fh:
             episodes = fh.read()
     return {
@@ -60,9 +72,33 @@ def run_digests(**overrides) -> dict:
     }
 
 
+def hier_digests(seed: int = 1, agents: int = 9, clusters: int = 3,
+                 rounds: int = 5) -> dict:
+    """Digests of one `HierOrchestrator.train` run, with backends seeded as
+    `econ hier` seeds them."""
+    cfg = RunConfig(seed=seed, agents=agents)
+    coordinator, backends = mock_backends(cfg, extra=clusters)
+    hier = HierOrchestrator(cfg, coordinator, backends[agents:], backends[:agents],
+                            clusters)
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "rounds.jsonl")
+        history = hier.train(QUESTIONS, rounds=rounds, round_log_path=log)
+        with open(log) as fh:
+            rounds_jsonl = fh.read()
+    checksums = {f"cluster_{c}": orch.checksums()
+                 for c, orch in enumerate(hier.cluster_orchs)}
+    checksums["global_mixing"] = hier.global_mixing.params.checksum()
+    return {
+        "rounds_jsonl": sha(rounds_jsonl),
+        "reports": sha(repr([report for _, report, _ in history])),
+        "checksums": sha(json.dumps(checksums, sort_keys=True)),
+    }
+
+
 def main() -> int:
-    print(json.dumps({name: run_digests(**over) for name, over in RUNS.items()},
-                     sort_keys=True))
+    digests = {name: run_digests(**over) for name, over in RUNS.items()}
+    digests["hier_seed1"] = hier_digests()
+    print(json.dumps(digests, sort_keys=True))
     return 0
 
 
