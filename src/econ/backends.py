@@ -34,7 +34,6 @@ class GenerationRequest:
     query: str
     strategy: str = ""
     prompt_embedding: PromptEmbedding | None = None
-    token_budget: int = 256
 
     def __post_init__(self):
         if self.role == ROLE_EXECUTION and self.prompt_embedding is None:
@@ -90,6 +89,7 @@ class RateBudget:
     """Shared gate over rolling per-minute request and token windows."""
 
     WINDOW = 60.0
+    MAX_WAIT = 600.0  # longest total wait of one acquire
 
     def __init__(self, rpm: int, tpm: int, clock=None):
         self.rpm = rpm
@@ -102,7 +102,7 @@ class RateBudget:
         cutoff = now - self.WINDOW
         self._events = [(t, n) for t, n in self._events if t > cutoff]
 
-    def acquire(self, tokens: int, max_wait: float = 600.0):
+    def acquire(self, tokens: int):
         """Block (via the clock) until both windows admit the request."""
         if tokens > self.tpm:
             raise BudgetTimeout(f"request of {tokens} tokens exceeds TPM cap {self.tpm}")
@@ -117,7 +117,7 @@ class RateBudget:
                     return now
                 oldest = self._events[0][0]
                 wait = max(oldest + self.WINDOW - now, 1e-3)
-            if waited + wait > max_wait:
+            if waited + wait > self.MAX_WAIT:
                 raise BudgetTimeout("rate budget wait exceeded the allowed timeout")
             self.clock.sleep(wait)
             waited += wait
@@ -148,14 +148,18 @@ def embed_text(text: str, dim: int = 256) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def truncate_strategy(text: str, soft: int = 50, hard: int = 70,
-                      regenerate=None) -> tuple[str, list[str]]:
+STRATEGY_SOFT_CAP = 50
+STRATEGY_HARD_CAP = 70
+
+
+def truncate_strategy(text: str, regenerate=None) -> tuple[str, list[str]]:
     """Enforce the coordinator strategy length band.
 
-    <= soft passes clean; (soft, hard] passes with a warning note; beyond
-    hard we regenerate once (if a regenerator is supplied) and then cut at
-    the hard limit. Returns (text, notes).
+    <= STRATEGY_SOFT_CAP tokens passes clean; up to STRATEGY_HARD_CAP passes
+    with a warning note; beyond that we regenerate once (if a regenerator
+    is supplied) and then cut at the hard cap. Returns (text, notes).
     """
+    soft, hard = STRATEGY_SOFT_CAP, STRATEGY_HARD_CAP
     notes: list[str] = []
     tokens = tokenize(text)
     if len(tokens) <= soft:
@@ -204,15 +208,17 @@ class MockBackend(Backend):
     identical text.
     """
 
-    def __init__(self, seed: int = 0, vocab_size: int = 48, length: int = 24,
+    VOCAB_SIZE = 48
+
+    def __init__(self, seed: int = 0, length: int = 24,
                  embed_dim: int = 256, answer_book: dict | None = None):
         self.seed = seed
         self.embed_dim = embed_dim
         self.length = length
         self.answer_book = answer_book or {}
         base_rng = np.random.default_rng(seed)
-        self.vocab = [f"tok{i}" for i in range(vocab_size)]
-        self.base_logits = base_rng.normal(scale=1.5, size=vocab_size)
+        self.vocab = [f"tok{i}" for i in range(self.VOCAB_SIZE)]
+        self.base_logits = base_rng.normal(scale=1.5, size=self.VOCAB_SIZE)
 
     def generate(self, request: GenerationRequest) -> Utterance:
         if request.prompt_embedding is not None:
@@ -326,6 +332,7 @@ class HttpBackend(Backend):
 
     MAX_RETRIES = 3
     BACKOFF_WAITS = (10.0, 20.0, 30.0)
+    TOKEN_BUDGET = 256  # completion tokens asked for per request
 
     def __init__(self, cfg: HttpConfig, budget: RateBudget, clock=None,
                  transport=None, call_log_path=None, embed_dim: int = 256):
@@ -357,7 +364,7 @@ class HttpBackend(Backend):
         payload = {
             "model": self.cfg.model,
             "messages": messages,
-            "max_tokens": min(request.token_budget, self.cfg.context_cap),
+            "max_tokens": min(self.TOKEN_BUDGET, self.cfg.context_cap),
         }
         if request.prompt_embedding is not None:
             payload["temperature"] = request.prompt_embedding.temperature

@@ -10,8 +10,12 @@ import numpy as np
 
 from .gamelab.learners import MIN_FIT_STEPS
 
+QUESTIONS = tuple(f"question-{i}" for i in range(8))
 
-def _mock_backends(cfg, extra: int = 0):
+
+def mock_backends(cfg, extra: int = 0):
+    """A coordinator and `cfg.agents + extra` mock agents, all seeded from
+    the config's generation seed."""
     from .backends import MockBackend
     from .config import subsystem_seed
 
@@ -23,21 +27,19 @@ def _mock_backends(cfg, extra: int = 0):
 
 
 def _load_cfg(args):
-    """The run config from --config and --seed; an invalid one ends the
-    command with exit code 2 before anything is written."""
+    """The run config from --config and --seed; an unreadable or invalid
+    one ends the command with exit code 2 before anything is written."""
     from .config import ConfigError, RunConfig, load_config
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+    except OSError as exc:
+        args.error(f"invalid config: cannot read {args.config}: {exc.strerror or exc}")
     except ConfigError as exc:
         args.error(f"invalid config: {exc}")
     return cfg
-
-
-def _questions(cfg):
-    return [f"question-{i}" for i in range(8)]
 
 
 def _at_least(minimum: int):
@@ -68,9 +70,9 @@ def cmd_train(args) -> int:
     if _refuses_backend(cfg, "train"):
         return 2
     os.makedirs(args.out, exist_ok=True)
-    coordinator, agents = _mock_backends(cfg)
+    coordinator, agents = mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
-    rows, _ = orch.train(_questions(cfg),
+    rows, _ = orch.train(QUESTIONS,
                          episode_log_path=os.path.join(args.out, "episodes.jsonl"))
     emit_metrics(rows, os.path.join(args.out, "metrics.csv"))
     write_manifest(os.path.join(args.out, "manifest.json"), cfg, "train")
@@ -86,12 +88,11 @@ def cmd_eval(args) -> int:
     if _refuses_backend(cfg, "eval"):
         return 2
     os.makedirs(args.out, exist_ok=True)
-    coordinator, agents = _mock_backends(cfg)
+    coordinator, agents = mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
-    questions = _questions(cfg)
     rewards = []
     for ep in range(args.episodes):
-        record = orch.run_inference(questions[ep % len(questions)])
+        record = orch.run_inference(QUESTIONS[ep % len(QUESTIONS)])
         orch.absorb_episode(record)
         rewards.append(float(np.mean(record.rewards)))
     write_manifest(os.path.join(args.out, "manifest.json"), cfg, "eval")
@@ -112,11 +113,12 @@ def cmd_hier(args) -> int:
                    f"got {args.agents}")
     cfg = RunConfig(**{**cfg.__dict__, "agents": args.agents})
     os.makedirs(args.out, exist_ok=True)
-    coordinator, backends = _mock_backends(cfg, extra=args.clusters)
+    coordinator, backends = mock_backends(cfg, extra=args.clusters)
     agents = backends[:cfg.agents]
     locals_ = backends[cfg.agents:cfg.agents + args.clusters]
     hier = HierOrchestrator(cfg, coordinator, locals_, agents, args.clusters)
-    history = hier.train(_questions(cfg), rounds=args.rounds,
+    rounds = args.rounds if args.rounds is not None else cfg.episodes
+    history = hier.train(QUESTIONS, rounds=rounds,
                          round_log_path=os.path.join(args.out, "rounds.jsonl"))
     write_manifest(os.path.join(args.out, "manifest.json"), cfg, "hier")
     last = history[-1][0]
@@ -170,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--config", default=None)
     h.add_argument("--clusters", type=_at_least(1), default=3)
     h.add_argument("--agents", type=_at_least(1), default=9)
-    h.add_argument("--rounds", type=_at_least(1), default=5)
+    h.add_argument("--rounds", type=_at_least(1), default=None,
+                   help="hierarchical rounds (default: the config's episodes)")
     h.add_argument("--seed", type=int, default=None)
     h.add_argument("--out", default="runs/hier")
     h.set_defaults(fn=cmd_hier, error=h.error)

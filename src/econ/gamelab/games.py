@@ -234,33 +234,37 @@ def _profile_from_slots(game, slot_points) -> MixedStrategyProfile:
     return MixedStrategyProfile(strats)
 
 
-def brute_force_bne(game: FiniteBayesianGame, rho: float = 0.01,
-                    coarse_step: float = 0.25, keep: int = 8) -> tuple[MixedStrategyProfile, dict]:
+BNE_COARSE_STEP = 0.25
+BNE_KEEP = 8
+
+
+def brute_force_bne(game: FiniteBayesianGame,
+                    rho: float = 0.01) -> tuple[MixedStrategyProfile, dict]:
     """Grid search over strategy simplices minimizing exploitability.
 
-    A coarse full grid seeds the best `keep` candidates, then each is
-    hill-descended with shrinking probability-mass steps down to rho.
-    The certificate records the achieved exploitability against the
+    A grid of step BNE_COARSE_STEP seeds the best BNE_KEEP candidates,
+    then each is hill-descended with shrinking probability-mass steps down
+    to rho. The certificate records the achieved exploitability against the
     tolerance derived from the resolution; if the tolerance is out of
     reach at this rho the best profile found is returned with a flag.
     """
-    if rho <= 0 or rho > coarse_step:
-        raise ValueError("rho must lie in (0, coarse_step]")
+    if rho <= 0 or rho > BNE_COARSE_STEP:
+        raise ValueError(f"rho must lie in (0, {BNE_COARSE_STEP}]")
     slots = _slots(game)
-    per_slot = [simplex_grid(len(game.actions[i]), coarse_step) for i, _ in slots]
+    per_slot = [simplex_grid(len(game.actions[i]), BNE_COARSE_STEP) for i, _ in slots]
 
     scored = []
     for combo in itertools.product(*per_slot):
         prof = _profile_from_slots(game, combo)
         scored.append((exploitability(game, prof).max_gain, combo))
     scored.sort(key=lambda x: x[0])
-    candidates = scored[:keep]
+    candidates = scored[:BNE_KEEP]
 
     best_val, best_combo = candidates[0]
     for start_val, combo in candidates:
         combo = list(combo)
         val = start_val
-        step = coarse_step
+        step = BNE_COARSE_STEP
         while step > rho / 2:
             improved = True
             while improved:

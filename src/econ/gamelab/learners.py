@@ -23,17 +23,19 @@ from .games import (
 )
 
 
-def learning_rate(t: int, eta0: float = 0.5) -> float:
-    """eta_t = eta0 / sqrt(t), t >= 1."""
+ETA0 = 0.5  # the econ learner's initial learning rate
+
+
+def learning_rate(t: int) -> float:
+    """eta_t = ETA0 / sqrt(t), t >= 1."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return eta0 / np.sqrt(t)
+    return ETA0 / np.sqrt(t)
 
 
 @dataclass
 class RegretTrace:
     learner: str
-    gamma: float
     seed: int
     per_agent: np.ndarray  # (T, N) cumulative per-agent regret
 
@@ -69,18 +71,18 @@ def _profile_gaps(game: FiniteBayesianGame, profile: MixedStrategyProfile) -> np
 
 
 class EconGameLearner:
-    """Per-type epsilon-greedy Q-learning with eta_t = eta0 / sqrt(t).
+    """Per-type epsilon-greedy Q-learning with eta_t = ETA0 / sqrt(t) and
+    exploration max(EPS_MIN, EPS0 / sqrt(t)).
 
     Each agent keeps a Q-table over (own type, own action) and updates it
     from the exact payoff of the sampled joint outcome.
     """
 
-    def __init__(self, game: FiniteBayesianGame, seed: int = 0,
-                 eta0: float = 0.5, eps0: float = 0.5, eps_min: float = 0.01):
+    EPS0 = 0.5
+    EPS_MIN = 0.01
+
+    def __init__(self, game: FiniteBayesianGame, seed: int = 0):
         self.game = game
-        self.eta0 = eta0
-        self.eps0 = eps0
-        self.eps_min = eps_min
         self.rng = np.random.default_rng(seed)
         self.q = [np.zeros((len(game.types[i]), len(game.actions[i])))
                   for i in range(game.n_players)]
@@ -88,7 +90,7 @@ class EconGameLearner:
         self._prior_flat = flat / flat.sum()
 
     def epsilon(self, t: int) -> float:
-        return max(self.eps_min, self.eps0 / np.sqrt(t))
+        return max(self.EPS_MIN, self.EPS0 / np.sqrt(t))
 
     def strategy_profile(self, t: int) -> MixedStrategyProfile:
         eps = self.epsilon(t)
@@ -114,7 +116,7 @@ class EconGameLearner:
             int(self.rng.choice(len(self.game.actions[i]), p=profile[i][theta[i]]))
             for i in range(self.game.n_players))
         payoff = self.game.payoffs[tuple(theta) + actions]
-        eta = learning_rate(t, self.eta0)
+        eta = learning_rate(t)
         for i in range(self.game.n_players):
             q = self.q[i]
             q[theta[i], actions[i]] += eta * (payoff[i] - q[theta[i], actions[i]])
@@ -130,17 +132,18 @@ class DebateLearner:
     """Type-blind competitive best-response dynamic.
 
     Each agent greedily best-responds to the empirical action frequencies
-    of the others over the last `window` steps, ignoring private types.
+    of the others over the last `WINDOW` steps, ignoring private types.
     Requires a constant-sum payoff structure.
     """
 
-    def __init__(self, game: FiniteBayesianGame, seed: int = 0, window: int = 10):
+    WINDOW = 10
+
+    def __init__(self, game: FiniteBayesianGame, seed: int = 0):
         if game.payoff_sum_constant() is None:
             raise ValueError("debate baseline requires a constant-sum game")
         self.game = game
-        self.window = window
         self.rng = np.random.default_rng(seed)
-        self.history = [deque(maxlen=window) for _ in range(game.n_players)]
+        self.history = [deque(maxlen=self.WINDOW) for _ in range(game.n_players)]
 
     def _empirical(self, i: int) -> np.ndarray:
         n_a = len(self.game.actions[i])
@@ -180,8 +183,7 @@ class DebateLearner:
         return actions, gaps
 
 
-def run_learner(learner, steps: int, kind: str, gamma: float = 0.99,
-                seed: int = 0) -> RegretTrace:
+def run_learner(learner, steps: int, kind: str, seed: int = 0) -> RegretTrace:
     """Drive a learner for `steps` interactions, accumulating regret."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -192,18 +194,18 @@ def run_learner(learner, steps: int, kind: str, gamma: float = 0.99,
         _, gaps = learner.step(t)
         running += gaps
         cum[t - 1] = running
-    return RegretTrace(kind, gamma, seed, cum)
+    return RegretTrace(kind, seed, cum)
 
 
-def run_econ(game: FiniteBayesianGame, steps: int, seed: int = 0,
-             **kwargs) -> tuple[EconGameLearner, RegretTrace]:
-    learner = EconGameLearner(game, seed=seed, **kwargs)
+def run_econ(game: FiniteBayesianGame, steps: int,
+             seed: int = 0) -> tuple[EconGameLearner, RegretTrace]:
+    learner = EconGameLearner(game, seed=seed)
     return learner, run_learner(learner, steps, "econ", seed=seed)
 
 
-def run_debate(game: FiniteBayesianGame, steps: int, seed: int = 0,
-               **kwargs) -> tuple[DebateLearner, RegretTrace]:
-    learner = DebateLearner(game, seed=seed, **kwargs)
+def run_debate(game: FiniteBayesianGame, steps: int,
+               seed: int = 0) -> tuple[DebateLearner, RegretTrace]:
+    learner = DebateLearner(game, seed=seed)
     return learner, run_learner(learner, steps, "debate", seed=seed)
 
 
@@ -215,16 +217,17 @@ class RegretFit:
 
 
 MIN_FIT_STEPS = 100
+FIT_TAIL_FRAC = 0.8
 
 
-def fit_regret_exponent(total: np.ndarray, tail_frac: float = 0.8) -> RegretFit:
-    """Least-squares fit of R(T) ~ a * T^b on log-log axes over the trace
-    tail. Non-positive cumulative values are shifted into positivity and
-    flagged."""
+def fit_regret_exponent(total: np.ndarray) -> RegretFit:
+    """Least-squares fit of R(T) ~ a * T^b on log-log axes over the last
+    FIT_TAIL_FRAC of the trace. Non-positive cumulative values are shifted
+    into positivity and flagged."""
     total = np.asarray(total, dtype=np.float64)
     if total.ndim != 1 or total.size < MIN_FIT_STEPS:
         raise ValueError(f"need a 1-D trace of at least {MIN_FIT_STEPS} steps")
-    start = int(round(total.size * (1.0 - tail_frac)))
+    start = int(round(total.size * (1.0 - FIT_TAIL_FRAC)))
     ts = np.arange(1, total.size + 1, dtype=np.float64)[start:]
     rs = total[start:]
     shifted = False

@@ -16,15 +16,20 @@ import numpy as np
 
 from .backends import (
     GenerationRequest,
-    ROLE_COORD_FINAL,
     ROLE_COORD_STRATEGY,
     run_concurrently,
     truncate_strategy,
 )
 from .config import RunConfig, json_line
-from .kernel import adam_step, cosine_sim
+from .kernel import cosine_sim
 from .mixing import MixingBatchItem, MixingNetwork
-from .orchestrator import EarlyStopConfig, Orchestrator
+from .orchestrator import (
+    EarlyStopConfig,
+    Orchestrator,
+    final_output,
+    mixing_step,
+    plan_strategy,
+)
 
 MAX_CLUSTER_SIZE = 4
 
@@ -88,9 +93,6 @@ class HierOrchestrator:
         rng = np.random.default_rng(cfg.seed + 7000)
         self.global_mixing = MixingNetwork(
             k, group_dim=cfg.d, c_dim=global_coordinator.embed_dim, rng=rng)
-        from .kernel import OptimizerConfig
-
-        self.opt = OptimizerConfig(learning_rate=cfg.eta)
         self.prev_c_embed = None
         self.prev_l_tot = None
         self.round_count = 0
@@ -108,10 +110,7 @@ class HierOrchestrator:
         return text
 
     def run_hier_round(self, question: str) -> HierRound:
-        req = GenerationRequest(ROLE_COORD_STRATEGY, question)
-        s_u = self.global_coordinator.generate(req)
-        global_strategy, _ = truncate_strategy(
-            s_u.text, regenerate=lambda: self.global_coordinator.generate(req).text)
+        global_strategy, _ = plan_strategy(self.global_coordinator, question)
 
         def infer(orch: Orchestrator):
             s_k = self._local_strategy(orch, question, global_strategy)
@@ -126,17 +125,9 @@ class HierOrchestrator:
         if self.k == 1:
             final_text, final_embed = outputs[0], embeds[0]
         else:
-            summary = "\n".join(t for t, r in zip(outputs, records)
-                                if not r.degenerate)
-            if not summary:
-                from .backends import Utterance
-
-                inv = Utterance.invalid(self.global_coordinator.embed_dim)
-                final_text, final_embed = inv.text, inv.embedding
-            else:
-                u = self.global_coordinator.generate(
-                    GenerationRequest(ROLE_COORD_FINAL, question, summary))
-                final_text, final_embed = u.text, u.embedding
+            u = final_output(self.global_coordinator, question,
+                             [r.final_text for r in records if not r.degenerate])
+            final_text, final_embed = u.text, u.embedding
 
         rewards = []
         for r, e in zip(records, embeds):
@@ -179,13 +170,7 @@ class HierOrchestrator:
             r_tot=float(np.mean(rnd.cluster_rewards)),
             c_embed=rnd.final_embedding,
             terminal=True)
-        loss = self.global_mixing.mixing_loss(
-            [item], self.cfg.gamma, self.cfg.lambda_m, self.cfg.lambda_b)
-        self.global_mixing.params.zero_grads()
-        loss.backward()
-        adam_step(self.global_mixing.params, self.opt)
-        self.global_mixing.project_nonnegative()
-        self.global_mixing.soft_update_target(self.cfg.tau_soft)
+        loss = mixing_step(self.global_mixing, [item], self.cfg)
         order.append("global_mixing")
 
         active = [r for r in cluster_reports if not r.get("skipped")]

@@ -1,4 +1,3 @@
-from .optim import OptimizerConfig, adam_step
 from .ops import (
     attention_params,
     cosine_sim,
@@ -6,13 +5,12 @@ from .ops import (
     finite_diff_check,
     multi_head_attention,
 )
-from .params import CHECKPOINT_VERSION, ParamStore, uniform_init
+from .params import CHECKPOINT_VERSION, ParamStore, adam_step, uniform_init
 from .tensor import NonFiniteError, Tensor, concat, stack
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "NonFiniteError",
-    "OptimizerConfig",
     "ParamStore",
     "Tensor",
     "adam_step",

@@ -85,16 +85,18 @@ def multi_head_attention(x: Tensor, params: ParamStore, heads: int,
     return merged @ params[f"{prefix}.w_o"]
 
 
-def finite_diff_check(loss_fn, store: ParamStore, h: float = 1e-5,
-                      names: list[str] | None = None) -> float:
-    """Max relative error between analytic gradients and central differences.
+FINITE_DIFF_STEP = 1e-5
+
+
+def finite_diff_check(loss_fn, store: ParamStore) -> float:
+    """Max relative error between analytic gradients and central differences
+    with step `FINITE_DIFF_STEP`.
 
     `loss_fn` must be a deterministic closure over `store` returning a scalar
     Tensor. Returns max over parameter entries of
     |analytic - numeric| / max(|analytic|, |numeric|, 1).
     """
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError("h must lie in [1e-7, 1e-3]")
+    h = FINITE_DIFF_STEP
     store.zero_grads()
     loss = loss_fn()
     loss.backward()
@@ -105,8 +107,6 @@ def finite_diff_check(loss_fn, store: ParamStore, h: float = 1e-5,
     store.zero_grads()
     max_err = 0.0
     for name, p in store.items():
-        if names is not None and name not in names:
-            continue
         flat = p.value.ravel()
         for idx in range(flat.size):
             orig = flat[idx]

@@ -1,4 +1,4 @@
-"""Named parameter store with gradient slots, optimizer state and checkpoints."""
+"""Named parameter store with gradient slots, Adam and checkpoints."""
 
 from __future__ import annotations
 
@@ -10,6 +10,10 @@ import numpy as np
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = "econ-ckpt-v1"
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int | None = None) -> np.ndarray:
@@ -115,3 +119,42 @@ class ParamStore:
             store.add(name, arr)
         store.step_count = int(payload["step_count"])
         return store
+
+
+def adam_step(store: ParamStore, learning_rate: float):
+    """One bias-corrected Adam update; zeroes gradients and bumps the step count.
+
+    Missing gradient slots count as zero gradient. NaN gradients abort with
+    the offending parameter's name.
+    """
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
+    store.step_count += 1
+    t = store.step_count
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in store.items():
+        if p.grad is None and store.moments_are_zero(name):
+            continue  # zero gradient on zero moments: the update is exactly 0
+        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient for parameter '{name}'")
+        m, v = store.moments(name)
+        # m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g g;
+        # value -= lr (m / bc1) / (sqrt(v / bc2) + eps), in two scratch buffers
+        tmp, den = np.empty_like(m), np.empty_like(v)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPSILON
+        np.divide(m, bc1, out=tmp)
+        tmp /= den
+        tmp *= learning_rate
+        p.value -= tmp
+    store.zero_grads()

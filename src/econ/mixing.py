@@ -25,6 +25,7 @@ from .kernel import (
 from .beliefs import _FrozenView
 
 Q_PATH_NAMES = ("qpath.w1", "qpath.w2")
+MONOTONICITY_DELTA = 1e-4  # the local-Q bump of check_monotonicity
 
 
 @dataclass
@@ -193,14 +194,14 @@ class MixingNetwork:
             t = self.params[name]
             np.maximum(t.value, 0.0, out=t.value)
 
-    def check_monotonicity(self, n_samples: int = 100, delta: float = 1e-4,
+    def check_monotonicity(self, n_samples: int = 100,
                            rng: np.random.Generator | None = None) -> dict:
         """Numerically estimate dQ_tot/dQ_i over random states; report the
         minimum directional derivative and any offending weight."""
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         rng = rng if rng is not None else np.random.default_rng(0)
-        n = self.n_agents
+        n, delta = self.n_agents, MONOTONICITY_DELTA
         draws = [(rng.normal(size=n), rng.uniform(0.1, 1.0, size=(n, 2)),
                   rng.normal(size=self.group_dim)) for _ in range(n_samples)]
         qs, emb, group = (np.stack(x) for x in zip(*draws))

@@ -36,7 +36,7 @@ from .beliefs import (
 )
 from .config import MetricsRow, RunConfig, json_line, subsystem_seed
 from .encoder import BeliefEncoder, encoder_loss
-from .kernel import OptimizerConfig, Tensor, adam_step
+from .kernel import Tensor, adam_step
 from .mixing import MixingBatchItem, MixingNetwork
 from .rewards import (
     Evaluator,
@@ -71,6 +71,35 @@ class EpisodeRecord:
             raise ValueError("per-agent fields must have one entry per agent")
 
 
+def plan_strategy(coordinator, question: str) -> tuple[str, list]:
+    """The coordinator's strategy for `question` held to the length band,
+    with one regeneration if it runs past the hard cap; (text, notes)."""
+    req = GenerationRequest(ROLE_COORD_STRATEGY, question)
+    return truncate_strategy(coordinator.generate(req).text,
+                             regenerate=lambda: coordinator.generate(req).text)
+
+
+def final_output(coordinator, question: str, texts: list) -> Utterance:
+    """The coordinator's final output over `texts`; the invalid sentinel,
+    without a call, when there are none."""
+    if not texts:
+        return Utterance.invalid(coordinator.embed_dim)
+    return coordinator.generate(
+        GenerationRequest(ROLE_COORD_FINAL, question, "\n".join(texts)))
+
+
+def mixing_step(net: MixingNetwork, items: list, cfg: RunConfig) -> Tensor:
+    """One Adam step on the mixing loss over `items`, then the projection of
+    the Q-path weights and the target soft update; returns the loss node."""
+    loss = net.mixing_loss(items, cfg.gamma, cfg.lambda_m, cfg.lambda_b)
+    net.params.zero_grads()
+    loss.backward()
+    adam_step(net.params, cfg.eta)
+    net.project_nonnegative()
+    net.soft_update_target(cfg.tau_soft)
+    return loss
+
+
 @dataclass
 class EarlyStopConfig:
     eps_c: float = 0.01
@@ -97,8 +126,6 @@ class TrainState:
     expected_rewards: np.ndarray        # per-agent EMA of blended rewards
     prev_c_embed: np.ndarray | None = None
     prev_l_tot: float | None = None
-    last_delta_c: float | None = None
-    last_mean_r: float | None = None
     last_delta_l: float | None = None
     stop_streak: int = 0
     episode: int = 0
@@ -118,10 +145,10 @@ class Orchestrator:
         self.agents = agents
         self.evaluator = evaluator if evaluator is not None else ExactMatchEvaluator({})
         self.clock = clock if clock is not None else VirtualClock()
-        self.embed_dim = coordinator.embed_dim
+        embed_dim = coordinator.embed_dim
 
         bounds = PromptBounds(cfg.t_min, cfg.t_max, cfg.p_min, cfg.p_max)
-        obs_dim = 2 * self.embed_dim + cfg.d_b
+        obs_dim = 2 * embed_dim + cfg.d_b
         net_cfg = BeliefNetConfig(
             obs_dim=obs_dim, belief_dim=cfg.d_b, hidden=cfg.mlp_width,
             q_hidden=max(cfg.mlp_width // 4, 8), window=cfg.window,
@@ -135,8 +162,7 @@ class Orchestrator:
                                      rng=enc_rng)
         mix_rng = np.random.default_rng(subsystem_seed(cfg.seed, "init") + 2000)
         self.mixing = MixingNetwork(len(agents), group_dim=cfg.d,
-                                    c_dim=self.embed_dim, rng=mix_rng)
-        self.opt = OptimizerConfig(learning_rate=cfg.eta)
+                                    c_dim=embed_dim, rng=mix_rng)
 
         self.state = TrainState(
             episodes=deque(maxlen=cfg.buffer),
@@ -169,11 +195,7 @@ class Orchestrator:
         """One full episode forward pass. Mutates nothing. A caller may
         inject a ready-made strategy (hierarchical mode does)."""
         if strategy is None:
-            strat_req = GenerationRequest(ROLE_COORD_STRATEGY, question)
-            strat_u = self.coordinator.generate(strat_req)
-            strategy, notes = truncate_strategy(
-                strat_u.text,
-                regenerate=lambda: self.coordinator.generate(strat_req).text)
+            strategy, notes = plan_strategy(self.coordinator, question)
         else:
             strategy, notes = truncate_strategy(strategy)
 
@@ -201,13 +223,8 @@ class Orchestrator:
 
         # degenerate: no valid utterance, or no valid final output to
         # reward the utterances against
-        valid = [u for u in utterances if u.valid]
-        if not valid:
-            final = Utterance.invalid(self.embed_dim)
-        else:
-            summary = "\n".join(u.text for u in valid)
-            final = self.coordinator.generate(
-                GenerationRequest(ROLE_COORD_FINAL, question, summary))
+        final = final_output(self.coordinator, question,
+                             [u.text for u in utterances if u.valid])
         degenerate = not final.valid
 
         breakdowns, rewards = [], []
@@ -276,7 +293,7 @@ class Orchestrator:
             loss = net.td_loss(batches[i], self.cfg.gamma)
             net.params.zero_grads()
             loss.backward()
-            adam_step(net.params, self.opt)
+            adam_step(net.params, self.cfg.eta)
             net.soft_update(self.cfg.tau_soft)
             l_tds.append(float(loss.value))
             order.append(f"belief_{i}")
@@ -300,18 +317,11 @@ class Orchestrator:
         enc_loss = self._encoder_loss(episodes, local_qs, embeddings, r_tot, l_tds)
         self.encoder.params.zero_grads()
         enc_loss.backward()
-        adam_step(self.encoder.params, self.opt)
+        adam_step(self.encoder.params, self.cfg.eta)
         l_e = float(enc_loss.value)
         order.append("encoder")
 
-        # mixing step with projection and target soft update
-        mix_loss = self.mixing.mixing_loss(
-            mix_items, self.cfg.gamma, self.cfg.lambda_m, self.cfg.lambda_b)
-        self.mixing.params.zero_grads()
-        mix_loss.backward()
-        adam_step(self.mixing.params, self.opt)
-        self.mixing.project_nonnegative()
-        self.mixing.soft_update_target(self.cfg.tau_soft)
+        mix_loss = mixing_step(self.mixing, mix_items, self.cfg)
         order.append("mixing")
 
         # adaptive reward weights
@@ -362,7 +372,7 @@ class Orchestrator:
                        else abs(l_tot - st.prev_l_tot))
             st.prev_l_tot = l_tot
         st.prev_c_embed = record.final_embedding.copy()
-        st.last_delta_c, st.last_mean_r, st.last_delta_l = delta_c, mean_r, delta_l
+        st.last_delta_l = delta_l
 
         ok_c = delta_c <= stop_cfg.eps_c
         ok_r = mean_r >= stop_cfg.r_threshold

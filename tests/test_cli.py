@@ -15,14 +15,45 @@ def test_non_mock_backend_refused(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "eval", "hier"])
 def test_invalid_config_exits_before_writing(command, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[model]\nheads = 3\n")
+    invalid = tmp_path / "run.cfg"
+    invalid.write_text("[model]\nheads = 3\n")
+    missing = tmp_path / "nosuch.cfg"
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cfg), "--out", str(out)])
-    assert exc.value.code == 2
-    assert "heads must divide the model dimension" in capsys.readouterr().err
-    assert not out.exists()
+    for cfg, message in ((invalid, "heads must divide the model dimension"),
+                         (missing, f"invalid config: cannot read {missing}")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+SMALL_CFG = """[run]
+episodes = 3
+
+[model]
+d = 8
+d_b = 4
+mlp_width = 8
+window = 2
+grid_k = 2
+
+[training]
+buffer = 4
+batch = 2
+update_interval = 1
+"""
+
+
+@pytest.mark.parametrize("flags, rounds", [([], 3), (["--rounds", "2"], 2)],
+                         ids=["default", "flag"])
+def test_hier_rounds_default_to_config_episodes(flags, rounds, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    out = tmp_path / "out"
+    assert main(["hier", "--config", str(cfg), "--agents", "4", "--clusters", "2",
+                 "--out", str(out)] + flags) == 0
+    assert len((out / "rounds.jsonl").read_text().splitlines()) == rounds
 
 
 def test_game_lab_unknown_game_names_shipped_games(tmp_path, capsys):

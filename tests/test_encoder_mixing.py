@@ -102,16 +102,15 @@ class TestMonotonicity:
         assert res["passes"]
 
     def test_monotone_after_training_steps(self):
-        from econ.kernel import OptimizerConfig, adam_step
+        from econ.kernel import adam_step
 
         net = make_mixing(6)
-        opt = OptimizerConfig(learning_rate=0.05)
         batch = [make_item(seed=i, terminal=(i % 2 == 0)) for i in range(4)]
         for _ in range(10):
             loss = net.mixing_loss(batch, gamma=0.9, lam_m=0.1, lam_b=0.1)
             net.params.zero_grads()
             loss.backward()
-            adam_step(net.params, opt)
+            adam_step(net.params, 0.05)
             net.project_nonnegative()
         assert all((net.params[n].value >= 0).all() for n in Q_PATH_NAMES)
         assert net.check_monotonicity(n_samples=30, rng=rng(7))["passes"]

@@ -225,8 +225,8 @@ class TestBneOracle:
 
 class TestSchedules:
     def test_learning_rate_examples(self):
-        assert learning_rate(1, 0.5) == pytest.approx(0.5)
-        assert learning_rate(4, 0.5) == pytest.approx(0.25)
+        assert learning_rate(1) == pytest.approx(0.5)
+        assert learning_rate(4) == pytest.approx(0.25)
         with pytest.raises(ValueError):
             learning_rate(0)
 

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from econ.backends import MockBackend, ROLE_EXECUTION
+from econ.backends import (
+    INVALID_SENTINEL,
+    ROLE_COORD_FINAL,
+    ROLE_EXECUTION,
+    Backend,
+    MockBackend,
+    Utterance,
+)
 from econ.config import RunConfig
 from econ.hierarchy import (
     Cluster,
@@ -106,6 +113,31 @@ class TestHierRound:
             agents, 2)
         with pytest.raises(RuntimeError, match="backend down"):
             hier.run_hier_round("q")
+
+    def test_all_degenerate_clusters_give_invalid_final(self):
+        class AlwaysInvalid(Backend):
+            embed_dim = EMBED
+
+            def generate(self, request):
+                return Utterance.invalid(self.embed_dim)
+
+        class Recording(MockBackend):
+            def generate(self, request):
+                self.roles.append(request.role)
+                return super().generate(request)
+
+        gc = Recording(seed=50, embed_dim=EMBED)
+        gc.roles = []
+        hier = HierOrchestrator(
+            small_cfg(agents=4), gc,
+            [MockBackend(seed=60 + c, embed_dim=EMBED) for c in range(2)],
+            [AlwaysInvalid() for _ in range(4)], 2)
+        rnd = hier.run_hier_round("q")
+        assert all(r.degenerate for r in rnd.cluster_records)
+        assert rnd.final_text == INVALID_SENTINEL
+        assert not rnd.final_embedding.any()
+        assert rnd.cluster_rewards == [0.0, 0.0]
+        assert ROLE_COORD_FINAL not in gc.roles  # no call without cluster outputs
 
     def test_global_mixing_monotone_after_steps(self):
         hier = make_hier()

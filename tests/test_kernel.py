@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from econ.kernel import (
     NonFiniteError,
-    OptimizerConfig,
     ParamStore,
     Tensor,
     adam_step,
@@ -16,7 +15,7 @@ from econ.kernel import (
     multi_head_attention,
     stack,
 )
-from econ.kernel.params import CHECKPOINT_VERSION
+from econ.kernel.params import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, CHECKPOINT_VERSION
 
 import loop_reference as ref
 
@@ -309,7 +308,7 @@ class TestOptimizer:
         store = ParamStore()
         store.add("w", np.array([1.0]))
         store["w"].grad = np.array([0.5])
-        adam_step(store, OptimizerConfig(learning_rate=0.1))
+        adam_step(store, 0.1)
         assert store["w"].value[0] == pytest.approx(0.9, abs=1e-6)
         assert store.step_count == 1
         assert store["w"].grad is None
@@ -317,7 +316,7 @@ class TestOptimizer:
     def test_missing_grad_is_zero(self):
         store = ParamStore()
         store.add("w", np.array([2.0]))
-        adam_step(store, OptimizerConfig())
+        adam_step(store, 0.001)
         assert store["w"].value[0] == pytest.approx(2.0)
 
     def test_nan_grad_rejected(self):
@@ -325,10 +324,10 @@ class TestOptimizer:
         store.add("w", np.array([1.0]))
         store["w"].grad = np.array([np.nan])
         with pytest.raises(ValueError, match="'w'"):
-            adam_step(store, OptimizerConfig())
+            adam_step(store, 0.001)
 
     def test_untouched_parameter_is_skipped_bit_exactly(self):
-        cfg = OptimizerConfig(learning_rate=0.1)
+        lr, b1, b2, eps = 0.1, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
         store = ParamStore()
         store.create("w", (3, 2), rng(15))
         store.create("frozen", (4,), rng(16))
@@ -337,28 +336,30 @@ class TestOptimizer:
         for step in (1, 2):
             grad = rng(20 + step).normal(size=(3, 2))
             store["w"].grad = grad.copy()
-            adam_step(store, cfg)
+            adam_step(store, lr)
             # the full update for every parameter, untouched ones at zero gradient
-            bc1, bc2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
             for name in values:
                 g = grad if name == "w" else np.zeros_like(values[name])
                 m, v = moments[name]
-                m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * g
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-                values[name] -= cfg.learning_rate * update
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+                values[name] -= lr * update
         for name, t in store.items():
             assert t.value.tobytes() == values[name].tobytes()
             for got, want in zip(store.moments(name), moments[name]):
                 assert got.tobytes() == want.tobytes()
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(beta1=1.0)
+    def test_learning_rate_must_be_positive(self):
+        store = ParamStore()
+        store.add("w", np.array([1.0]))
+        store["w"].grad = np.array([0.5])
+        with pytest.raises(ValueError, match="learning_rate"):
+            adam_step(store, 0.0)
+        assert store.step_count == 0 and store["w"].value[0] == 1.0
 
     def test_descends_quadratic(self):
         store = ParamStore()
@@ -367,7 +368,7 @@ class TestOptimizer:
             loss = store["w"].square().sum()
             store.zero_grads()
             loss.backward()
-            adam_step(store, OptimizerConfig(learning_rate=0.05))
+            adam_step(store, 0.05)
         assert np.abs(store["w"].value).max() < 1e-2
 
 

@@ -3,8 +3,9 @@
 For seeds 1-3 at `RunConfig(seed=s)`, and for one run whose episode store is
 smaller than the trajectory window (`RunConfig(seed=4, buffer=4, batch=2,
 episodes=40)`), it digests the metrics rows, `episodes.jsonl`, the loss
-reports and `Orchestrator.checksums()`. For one hierarchical run, seeded as
-`econ hier` seeds it (seed 1, 9 agents, 3 clusters, 5 rounds), it digests
+reports and `Orchestrator.checksums()`. For one hierarchical run of 5 rounds
+(the tool's own short run, not `econ hier`'s default), with backends seeded
+as `econ hier` seeds them (seed 1, 9 agents, 3 clusters), it digests
 `rounds.jsonl`, the round reports, every cluster orchestrator's
 `checksums()` and the global mixing store's checksum. Two trees that train
 identically print identical lines, so a refactor that claims exactness is
@@ -27,8 +28,8 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from econ.backends import MockBackend  # noqa: E402
-from econ.config import RunConfig, subsystem_seed  # noqa: E402
+from econ.cli import QUESTIONS, mock_backends  # noqa: E402
+from econ.config import RunConfig  # noqa: E402
 from econ.hierarchy import HierOrchestrator  # noqa: E402
 from econ.orchestrator import Orchestrator  # noqa: E402
 
@@ -38,19 +39,10 @@ RUNS = {
     "seed3": dict(seed=3),
     "buffer_below_window": dict(seed=4, buffer=4, batch=2, episodes=40),
 }
-QUESTIONS = [f"question-{i}" for i in range(8)]
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def mock_backends(cfg: RunConfig, extra: int = 0):
-    """A coordinator and `cfg.agents + extra` agents, seeded as the CLI
-    seeds them."""
-    gen_seed = subsystem_seed(cfg.seed, "generation")
-    return MockBackend(seed=gen_seed), [MockBackend(seed=gen_seed + 1 + i)
-                                        for i in range(cfg.agents + extra)]
 
 
 def run_digests(**overrides) -> dict:
