@@ -92,6 +92,8 @@ class RateBudget:
     MAX_WAIT = 600.0  # longest total wait of one acquire
 
     def __init__(self, rpm: int, tpm: int, clock=None):
+        if rpm < 1 or tpm < 1:
+            raise ValueError(f"rpm and tpm must be at least 1, got rpm={rpm}, tpm={tpm}")
         self.rpm = rpm
         self.tpm = tpm
         self.clock = clock if clock is not None else SystemClock()
@@ -302,14 +304,6 @@ class ScriptedGameBackend(Backend):
         return onehot
 
 
-def default_transport(url: str, payload: dict, headers: dict, timeout: float = 60.0) -> dict:
-    req = urllib.request.Request(
-        url, data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json", **headers})
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(resp.read().decode())
-
-
 class TransportError(RuntimeError):
     """Rate-limit or network failure reported by the transport."""
 
@@ -345,9 +339,13 @@ class HttpBackend(Backend):
         self._log_lock = threading.Lock()
 
     def _http_transport(self, payload: dict) -> dict:
-        return default_transport(
-            self.cfg.base_url.rstrip("/") + "/chat/completions", payload,
-            {"Authorization": f"Bearer {self.cfg.api_key}"})
+        req = urllib.request.Request(
+            self.cfg.base_url.rstrip("/") + "/chat/completions",
+            data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json",
+                     "Authorization": f"Bearer {self.cfg.api_key}"})
+        with urllib.request.urlopen(req, timeout=60.0) as resp:
+            return json.loads(resp.read().decode())
 
     def _log(self, entry: dict):
         if self.call_log_path is None:

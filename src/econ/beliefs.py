@@ -185,21 +185,20 @@ class BeliefNetwork:
         h = (enc @ w1[:d] + emb @ w1[d:] + params["q.b1"]).relu()
         return h @ params["q.w2"] + params["q.b2"]
 
-    def encode_trajectory(self, traj: Trajectory, params=None) -> Tensor:
+    def encode_trajectory(self, traj: Trajectory) -> Tensor:
         """Window of pairs, each linearly projected, pooled with learned
         per-position scalars. Empty trajectory -> zero vector."""
-        params = params if params is not None else self.params
-        return self._encode([traj], params).reshape(self.cfg.belief_dim)
+        return self._encode([traj], self.params).reshape(self.cfg.belief_dim)
 
-    def compute_belief(self, traj: Trajectory, obs: np.ndarray, params=None) -> Tensor:
-        params = params if params is not None else self.params
-        h = concat([self.encode_trajectory(traj, params), Tensor(np.asarray(obs, dtype=np.float64))])
+    def compute_belief(self, traj: Trajectory, obs: np.ndarray) -> Tensor:
+        params = self.params
+        h = concat([self.encode_trajectory(traj), Tensor(np.asarray(obs, dtype=np.float64))])
         h = (h @ params["mlp.w1"] + params["mlp.b1"]).relu()
         return h @ params["mlp.w2"] + params["mlp.b2"]
 
-    def embed_prompt(self, belief: Tensor, params=None) -> tuple[Tensor, Tensor]:
+    def embed_prompt(self, belief: Tensor) -> tuple[Tensor, Tensor]:
         """Returns (temperature, penalty) nodes, each squashed into its box."""
-        params = params if params is not None else self.params
+        params = self.params
         b = self.cfg.bounds
         t = belief.dot(params["head.w_t"]) + params["head.b_t"]
         p = belief.dot(params["head.w_p"]) + params["head.b_p"]
@@ -207,16 +206,12 @@ class BeliefNetwork:
         pen = b.p_min + (b.p_max - b.p_min) * p.sigmoid()
         return temp, pen
 
-    def local_q(self, traj: Trajectory, embedding: np.ndarray, params=None) -> Tensor:
-        return self.local_q_batch([traj], [embedding], params).reshape(())
+    def local_q(self, traj: Trajectory, embedding: np.ndarray) -> Tensor:
+        return self.local_q_batch([traj], [embedding]).reshape(())
 
-    def local_q_batch(self, trajs: list, embeddings, params=None) -> Tensor:
+    def local_q_batch(self, trajs: list, embeddings) -> Tensor:
         """(B,) local Q-values of B (trajectory, prompt embedding) pairs."""
-        params = params if params is not None else self.params
-        return self._q_head(self._encode(trajs, params), embeddings, params)
-
-    def _target_params(self):
-        return _FrozenView(self.target)
+        return self._q_head(self._encode(trajs, self.params), embeddings, self.params)
 
     def action_grid(self) -> np.ndarray:
         k = self.cfg.target_grid
@@ -230,7 +225,7 @@ class BeliefNetwork:
     def _max_target_qs(self, next_trajs: list) -> np.ndarray:
         """Per trajectory, the target Q head's maximum over the action grid,
         from one (B, grid) forward."""
-        params = self._target_params()
+        params = _FrozenView(self.target)
         enc = self._encode(next_trajs, params)
         q = self._q_head(enc.reshape(len(next_trajs), 1, self.cfg.belief_dim),
                          self.action_grid(), params)

@@ -129,11 +129,16 @@ def cmd_hier(args) -> int:
 
 def cmd_game_lab(args) -> int:
     from .gamelab import fit_regret_exponent, load_game, load_shipped_game, run_debate, run_econ
-    from .gamelab.games import shipped_game_names
+    from .gamelab.games import GameFormatError, shipped_game_names
 
     shipped = shipped_game_names()
     if os.path.exists(args.game):
-        game = load_game(args.game)
+        try:
+            game = load_game(args.game)
+        except OSError as exc:
+            args.error(f"invalid game: cannot read {args.game}: {exc.strerror or exc}")
+        except GameFormatError as exc:
+            args.error(f"invalid game: {exc}")
     elif args.game in shipped:
         game = load_shipped_game(args.game)
     else:

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 __version__ = "0.1.0"
 
@@ -24,83 +24,53 @@ def _simplex(v):
             and abs(sum(v) - 1.0) <= 1e-9)
 
 
-# key -> (section, parser, validator, documented range)
-_SCHEMA = {
-    "seed":            ("run", int, lambda v: v >= 0, ">= 0"),
-    "episodes":        ("run", int, lambda v: v >= 1, ">= 1"),
-    "agents":          ("run", int, lambda v: v >= 1, ">= 1"),
-    "backend":         ("run", str, lambda v: v in ("mock", "http", "scripted"),
-                        "one of mock|http|scripted"),
-    "max_rounds":      ("run", int, lambda v: v >= 1, ">= 1"),
-    "d":               ("model", int, lambda v: v >= 1, ">= 1"),
-    "d_b":             ("model", int, lambda v: v >= 1, ">= 1"),
-    "heads":           ("model", int, lambda v: v >= 1, ">= 1"),
-    "mlp_width":       ("model", int, lambda v: v >= 1, ">= 1"),
-    "t_min":           ("model", float, lambda v: v > 0.0, "> 0"),
-    "t_max":           ("model", float, lambda v: v > 0.0, "> 0"),
-    "p_min":           ("model", float, lambda v: v > 0.0, "> 0"),
-    "p_max":           ("model", float, lambda v: v > 0.0, "> 0"),
-    "grid_k":          ("model", int, lambda v: v >= 2, ">= 2"),
-    "window":          ("model", int, lambda v: v >= 1, ">= 1"),
-    "eta":             ("training", float, lambda v: v > 0.0, "> 0"),
-    "eta_coord":       ("training", float, lambda v: v > 0.0, "> 0"),
-    "gamma":           ("training", float, lambda v: 0.0 <= v < 1.0, "[0, 1)"),
-    "buffer":          ("training", int, lambda v: v >= 1, ">= 1"),
-    "batch":           ("training", int, lambda v: v >= 1, ">= 1"),
-    "update_interval": ("training", int, lambda v: v >= 1, ">= 1"),
-    "tau_soft":        ("training", float, lambda v: 0.0 < v <= 1.0, "(0, 1]"),
-    "r_max":           ("rewards", float, lambda v: v > 0.0, "> 0"),
-    "alpha":           ("rewards", "triple", _simplex,
-                        "three non-negative values summing to 1"),
-    "lambda_e":        ("rewards", float, lambda v: v >= 0.0, ">= 0"),
-    "lambda_b":        ("rewards", float, lambda v: v >= 0.0, ">= 0"),
-    "lambda_m":        ("rewards", float, lambda v: v >= 0.0, ">= 0"),
-    "eps_c":           ("stopping", float, lambda v: v > 0.0, "> 0"),
-    "eps_l":           ("stopping", float, lambda v: v > 0.0, "> 0"),
-    "r_threshold":     ("stopping", float, lambda v: v > 0.0, "> 0"),
-    "patience":        ("stopping", int, lambda v: v >= 1, ">= 1"),
-}
-
-_SECTIONS = ("run", "model", "training", "rewards", "stopping")
-
-
 class ConfigError(ValueError):
     pass
 
 
+def _key(default, section: str, check, allowed: str):
+    """A config key: its default (whose type is the type the parser reads),
+    its [section], its range check and the documented text of that range."""
+    return field(default=default,
+                 metadata={"section": section, "check": check, "allowed": allowed})
+
+
 @dataclass
 class RunConfig:
-    seed: int = 0
-    episodes: int = 100
-    agents: int = 3
-    backend: str = "mock"
-    max_rounds: int = 1
-    d: int = 256
-    d_b: int = 128
-    heads: int = 4
-    mlp_width: int = 256
-    t_min: float = 0.1
-    t_max: float = 2.0
-    p_min: float = 0.1
-    p_max: float = 0.9
-    grid_k: int = 5
-    window: int = 8
-    eta: float = 0.001
-    eta_coord: float = 0.001
-    gamma: float = 0.99
-    buffer: int = 32
-    batch: int = 16
-    update_interval: int = 8
-    tau_soft: float = 0.01
-    r_max: float = 1.0
-    alpha: tuple = (0.4, 0.4, 0.2)
-    lambda_e: float = 0.1
-    lambda_b: float = 0.1
-    lambda_m: float = 0.1
-    eps_c: float = 0.01
-    eps_l: float = 1e-4
-    r_threshold: float = 0.7
-    patience: int = 5
+    seed: int = _key(0, "run", lambda v: v >= 0, ">= 0")
+    episodes: int = _key(100, "run", lambda v: v >= 1, ">= 1")
+    agents: int = _key(3, "run", lambda v: v >= 1, ">= 1")
+    backend: str = _key("mock", "run", lambda v: v in ("mock", "http", "scripted"),
+                        "one of mock|http|scripted")
+    max_rounds: int = _key(1, "run", lambda v: v == 1,
+                           "1; multi-round episodes are not wired yet")
+    d: int = _key(256, "model", lambda v: v >= 1, ">= 1")
+    d_b: int = _key(128, "model", lambda v: v >= 1, ">= 1")
+    heads: int = _key(4, "model", lambda v: v >= 1, ">= 1")
+    mlp_width: int = _key(256, "model", lambda v: v >= 1, ">= 1")
+    t_min: float = _key(0.1, "model", lambda v: v > 0.0, "> 0")
+    t_max: float = _key(2.0, "model", lambda v: v > 0.0, "> 0")
+    p_min: float = _key(0.1, "model", lambda v: v > 0.0, "> 0")
+    p_max: float = _key(0.9, "model", lambda v: v > 0.0, "> 0")
+    grid_k: int = _key(5, "model", lambda v: v >= 2, ">= 2")
+    window: int = _key(8, "model", lambda v: v >= 1, ">= 1")
+    eta: float = _key(0.001, "training", lambda v: v > 0.0, "> 0")
+    eta_coord: float = _key(0.001, "training", lambda v: v > 0.0, "> 0")
+    gamma: float = _key(0.99, "training", lambda v: 0.0 <= v < 1.0, "[0, 1)")
+    buffer: int = _key(32, "training", lambda v: v >= 1, ">= 1")
+    batch: int = _key(16, "training", lambda v: v >= 1, ">= 1")
+    update_interval: int = _key(8, "training", lambda v: v >= 1, ">= 1")
+    tau_soft: float = _key(0.01, "training", lambda v: 0.0 < v <= 1.0, "(0, 1]")
+    r_max: float = _key(1.0, "rewards", lambda v: v > 0.0, "> 0")
+    alpha: tuple = _key((0.4, 0.4, 0.2), "rewards", _simplex,
+                        "three non-negative values summing to 1")
+    lambda_e: float = _key(0.1, "rewards", lambda v: v >= 0.0, ">= 0")
+    lambda_b: float = _key(0.1, "rewards", lambda v: v >= 0.0, ">= 0")
+    lambda_m: float = _key(0.1, "rewards", lambda v: v >= 0.0, ">= 0")
+    eps_c: float = _key(0.01, "stopping", lambda v: v > 0.0, "> 0")
+    eps_l: float = _key(1e-4, "stopping", lambda v: v > 0.0, "> 0")
+    r_threshold: float = _key(0.7, "stopping", lambda v: v > 0.0, "> 0")
+    patience: int = _key(5, "stopping", lambda v: v >= 1, ">= 1")
 
     def __post_init__(self):
         self.alpha = tuple(float(x) for x in self.alpha)
@@ -109,10 +79,9 @@ class RunConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            _, _, check, rng = _SCHEMA[f.name]
-            if not check(value):
-                raise ConfigError(
-                    f"value {value!r} for '{f.name}' out of range (allowed: {rng})")
+            if not f.metadata["check"](value):
+                raise ConfigError(f"value {value!r} for '{f.name}' out of range "
+                                  f"(allowed: {f.metadata['allowed']})")
         if self.batch > self.buffer:
             raise ConfigError("batch must not exceed buffer capacity")
         if self.d % self.heads != 0:
@@ -123,9 +92,16 @@ class RunConfig:
             raise ConfigError("p_min must be < p_max")
 
 
+_KEYS = {f.name: f for f in fields(RunConfig)}
+_SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in _KEYS.values()))
+
+
 def parse_config(text: str) -> RunConfig:
-    """Sectioned key=value text; absent keys fall back to defaults."""
+    """Sectioned key=value text; absent keys fall back to defaults. A key
+    under a [section] header must belong to that section, one before any
+    header may belong to any, and no key may appear twice."""
     values: dict = {}
+    section = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,19 +115,21 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep:
             raise ConfigError(f"expected key=value, got {line!r}")
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'")
-        _, kind, _, _ = _SCHEMA[key]
+        home = _KEYS[key].metadata["section"]
+        if section is not None and section != home:
+            raise ConfigError(f"key '{key}' belongs in [{home}], not [{section}]")
+        if key in values:
+            raise ConfigError(f"duplicate key '{key}'")
+        kind = type(_KEYS[key].default)
         try:
-            if kind == "triple":
-                parsed = tuple(float(x) for x in value.replace(",", " ").split())
-            elif kind is str:
-                parsed = value
+            if kind is tuple:
+                values[key] = tuple(float(x) for x in value.replace(",", " ").split())
             else:
-                parsed = kind(value)
+                values[key] = kind(value)
         except ValueError:
             raise ConfigError(f"cannot parse value {value!r} for '{key}'") from None
-        values[key] = parsed
     return RunConfig(**values)
 
 
@@ -166,13 +144,12 @@ def config_text(cfg: RunConfig) -> str:
     for section in _SECTIONS:
         out.write(f"[{section}]\n")
         for f in fields(cfg):
-            sec, kind, _, _ = _SCHEMA[f.name]
-            if sec != section:
+            if f.metadata["section"] != section:
                 continue
             v = getattr(cfg, f.name)
-            if kind == "triple":
+            if isinstance(f.default, tuple):
                 v = " ".join(repr(float(x)) for x in v)
-            elif kind is float:
+            elif isinstance(f.default, float):
                 v = repr(v)
             out.write(f"{f.name} = {v}\n")
         out.write("\n")

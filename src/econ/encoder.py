@@ -14,8 +14,6 @@ class BeliefEncoder:
 
     def __init__(self, belief_dim: int, model_dim: int = 256, heads: int = 4,
                  rng: np.random.Generator | None = None):
-        if model_dim % heads != 0:
-            raise ValueError("heads must divide the model dimension")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.belief_dim = belief_dim
         self.model_dim = model_dim
@@ -24,7 +22,7 @@ class BeliefEncoder:
         attention_params(self.params, "enc", rng, in_dim=belief_dim,
                          heads=heads, model_dim=model_dim)
 
-    def encode_group(self, beliefs, params: ParamStore | None = None) -> Tensor:
+    def encode_group(self, beliefs) -> Tensor:
         """Aggregate N same-dimension belief vectors into one group vector.
 
         `beliefs` is a list of N vectors, or an array of shape
@@ -32,12 +30,11 @@ class BeliefEncoder:
         """
         if len(beliefs) == 0:
             raise ValueError("encode_group needs at least one belief")
-        params = params if params is not None else self.params
         x = Tensor(np.asarray(beliefs, dtype=np.float64))
         if x.value.ndim < 2 or x.value.shape[-1] != self.belief_dim:
             raise ValueError(
                 f"beliefs of shape {x.value.shape}, expected (..., N, {self.belief_dim})")
-        attended = multi_head_attention(x, params, self.heads, prefix="enc")
+        attended = multi_head_attention(x, self.params, self.heads, prefix="enc")
         return attended.mean(axis=-2)
 
 

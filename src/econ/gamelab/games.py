@@ -20,7 +20,8 @@ class FiniteBayesianGame:
 
     `prior` is the joint distribution over type profiles, shape
     (|T_1|, ..., |T_N|). `payoffs` holds every player's utility for every
-    (type profile, action profile), shape type_shape + action_shape + (N,).
+    (type profile, action profile), shape
+    (|T_1|, ..., |T_N|, |A_1|, ..., |A_N|, N).
     """
 
     name: str
@@ -54,10 +55,6 @@ class FiniteBayesianGame:
     @property
     def type_shape(self) -> tuple:
         return tuple(len(t) for t in self.types)
-
-    @property
-    def action_shape(self) -> tuple:
-        return tuple(len(a) for a in self.actions)
 
     def payoff_sum_constant(self, tol: float = 1e-9):
         """The game's constant sum, or None if payoff totals vary."""
@@ -294,6 +291,14 @@ def brute_force_bne(game: FiniteBayesianGame,
 # -- definition files -------------------------------------------------------
 
 
+def _number(kind, text: str, what: str):
+    """`kind(text)`; text that is not a number is a format error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise GameFormatError(f"cannot parse {what} from {text.strip()!r}") from None
+
+
 def parse_game(text: str) -> FiniteBayesianGame:
     """Parse the sectioned plain-text game format.
 
@@ -322,21 +327,21 @@ def parse_game(text: str) -> FiniteBayesianGame:
             if key == "name":
                 name = value
             elif key == "players":
-                n_players = int(value)
+                n_players = _number(int, value, "players")
             else:
                 raise GameFormatError(f"unknown header key '{key}'")
         elif section in ("types", "actions"):
             who, _, names = line.partition(":")
             target = types if section == "types" else actions
-            target[int(who)] = names.split()
+            target[_number(int, who, "player index")] = names.split()
         elif section == "prior":
             lhs, _, rhs = line.partition("=")
-            prior_lines.append((lhs.split(), float(rhs)))
+            prior_lines.append((lhs.split(), _number(float, rhs, "prior probability")))
         else:
             lhs, _, rhs = line.partition("=")
             tpart, _, apart = lhs.partition("|")
             payoff_lines.append((tpart.split(), apart.split(),
-                                 [float(x) for x in rhs.split()]))
+                                 [_number(float, x, "payoff") for x in rhs.split()]))
 
     if n_players is None:
         raise GameFormatError("missing 'players' header")

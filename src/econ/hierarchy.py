@@ -18,7 +18,6 @@ from .backends import (
     GenerationRequest,
     ROLE_COORD_STRATEGY,
     run_concurrently,
-    truncate_strategy,
 )
 from .config import RunConfig, json_line
 from .kernel import cosine_sim
@@ -101,13 +100,12 @@ class HierOrchestrator:
 
     def _local_strategy(self, orch: Orchestrator, question: str,
                         global_strategy: str) -> str:
+        """The cluster's raw strategy text; `run_inference` truncates it."""
         if self.k == 1:
             # degenerate hierarchy: the global strategy passes straight through
             return global_strategy
-        u = orch.coordinator.generate(GenerationRequest(
-            ROLE_COORD_STRATEGY, question, global_strategy))
-        text, _ = truncate_strategy(u.text)
-        return text
+        return orch.coordinator.generate(GenerationRequest(
+            ROLE_COORD_STRATEGY, question, global_strategy)).text
 
     def run_hier_round(self, question: str) -> HierRound:
         global_strategy, _ = plan_strategy(self.global_coordinator, question)

@@ -22,7 +22,7 @@ from .kernel import (
     multi_head_attention,
     stack,
 )
-from .beliefs import _FrozenView
+from .beliefs import _FrozenView, soft_update
 
 Q_PATH_NAMES = ("qpath.w1", "qpath.w2")
 MONOTONICITY_DELTA = 1e-4  # the local-Q bump of check_monotonicity
@@ -220,6 +220,4 @@ class MixingNetwork:
         }
 
     def soft_update_target(self, tau: float):
-        from .beliefs import soft_update
-
         soft_update(self.params, self.target, tau)

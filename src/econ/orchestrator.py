@@ -128,7 +128,6 @@ class TrainState:
     prev_l_tot: float | None = None
     last_delta_l: float | None = None
     stop_streak: int = 0
-    episode: int = 0
 
 
 class Orchestrator:
@@ -267,7 +266,6 @@ class Orchestrator:
         d = self.EXPECTED_REWARD_DECAY
         st.expected_rewards = d * st.expected_rewards + (1.0 - d) * np.array(record.rewards)
         st.episodes.append(record)
-        st.episode += 1
 
     # -- optimization phase --------------------------------------------------
 

@@ -236,6 +236,11 @@ class TestRateBudget:
         with pytest.raises(BudgetTimeout):
             budget.acquire(500)
 
+    @pytest.mark.parametrize("rpm, tpm", [(0, 100), (10, 0), (-1, -1)])
+    def test_budget_that_admits_nothing_rejected(self, rpm, tpm):
+        with pytest.raises(ValueError, match="at least 1"):
+            RateBudget(rpm=rpm, tpm=tpm, clock=VirtualClock())
+
     def test_concurrent_audit_never_exceeds_windows(self):
         clock = VirtualClock()
         rpm, tpm = 5, 400
@@ -337,6 +342,42 @@ class TestHttpBackend:
         assert seen["temperature"] == pytest.approx(1.3)
         assert seen["repetition_penalty"] == pytest.approx(0.6)
         assert seen["max_tokens"] <= 2048
+
+    def test_http_transport_posts_json_with_bearer_and_timeout(self, monkeypatch):
+        import urllib.request
+
+        sent = {}
+
+        class Response:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return json.dumps(ok_response("from the wire")).encode()
+
+        def urlopen(req, timeout):
+            sent.update(req=req, timeout=timeout)
+            return Response()
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        be = HttpBackend(HttpConfig(base_url="http://host/v1/", api_key="secret"),
+                         RateBudget(rpm=10, tpm=10 ** 6, clock=VirtualClock()),
+                         clock=VirtualClock())
+        u = be.generate(exec_request(temp=1.3, pen=0.6, query="what?"))
+        assert u.valid and u.text == "from the wire"
+        req = sent["req"]
+        assert req.full_url == "http://host/v1/chat/completions"
+        assert req.get_method() == "POST"
+        assert req.get_header("Authorization") == "Bearer secret"
+        assert req.get_header("Content-type") == "application/json"
+        assert sent["timeout"] == 60.0
+        body = json.loads(req.data.decode())
+        assert body["messages"][-1] == {"role": "user", "content": "what?"}
+        assert body["temperature"] == pytest.approx(1.3)
+        assert body["max_tokens"] == HttpBackend.TOKEN_BUDGET
 
     def test_invalid_utterance_reward_is_zero(self):
         from econ.rewards import ExactMatchEvaluator, RewardWeights, compute_breakdown

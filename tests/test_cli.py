@@ -69,6 +69,41 @@ def test_game_lab_unknown_game_names_shipped_games(tmp_path, capsys):
     assert not out.exists()
 
 
+INCOMPLETE_GAME = """players = 2
+[types]
+0: t0
+1: t0
+[actions]
+0: a
+1: a b
+[prior]
+t0 t0 = 1.0
+[payoffs]
+t0 t0 | a a = 1 -1
+"""
+
+
+@pytest.mark.parametrize("content, message", [
+    (INCOMPLETE_GAME, "invalid game: payoff table is incomplete"),
+    ("players = two\n", "invalid game: cannot parse players from 'two'"),
+    (INCOMPLETE_GAME.replace("= 1 -1", "= 1 minus-one"),
+     "invalid game: cannot parse payoff from 'minus-one'"),
+    (None, "invalid game: cannot read"),
+], ids=["incomplete-payoffs", "non-integer-players", "non-numeric-payoff", "directory"])
+def test_game_lab_invalid_game_exits_before_writing(content, message, tmp_path, capsys):
+    game = tmp_path / "bad.game"
+    if content is None:
+        game.mkdir()
+    else:
+        game.write_text(content)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["game-lab", "--game", str(game), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_has_no_backend_flag():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--backend", "mock"])

@@ -82,6 +82,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="t_min"):
             parse_config("[model]\nt_min = 2.0\nt_max = 0.5\n")
 
+    def test_key_in_wrong_section_rejected(self):
+        with pytest.raises(ConfigError, match="'seed' belongs in \\[run\\]"):
+            parse_config("[stopping]\nseed = 3\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate key 'seed'"):
+            parse_config("seed = 4\n[run]\nseed = 5\nseed = 6\n")
+
+    def test_max_rounds_above_one_rejected(self):
+        with pytest.raises(ConfigError, match="max_rounds"):
+            parse_config("[run]\nmax_rounds = 2")
+
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
