@@ -26,6 +26,10 @@ def mock_backends(cfg, extra: int = 0):
     return coordinator, agents
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+
+
 def _load_cfg(args):
     """The run config from --config and --seed; an unreadable or invalid
     one ends the command with exit code 2 before anything is written."""
@@ -37,6 +41,8 @@ def _load_cfg(args):
             cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
     except OSError as exc:
         args.error(f"invalid config: cannot read {args.config}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        args.error(f"invalid config: cannot read {args.config}: {_not_utf8(exc)}")
     except ConfigError as exc:
         args.error(f"invalid config: {exc}")
     return cfg
@@ -137,6 +143,8 @@ def cmd_game_lab(args) -> int:
             game = load_game(args.game)
         except OSError as exc:
             args.error(f"invalid game: cannot read {args.game}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            args.error(f"invalid game: cannot read {args.game}: {_not_utf8(exc)}")
         except GameFormatError as exc:
             args.error(f"invalid game: {exc}")
     elif args.game in shipped:

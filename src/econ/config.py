@@ -134,7 +134,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
 
 

@@ -378,7 +378,7 @@ def parse_game(text: str) -> FiniteBayesianGame:
 
 
 def load_game(path) -> FiniteBayesianGame:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_game(fh.read())
 
 

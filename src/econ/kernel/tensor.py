@@ -20,6 +20,14 @@ def _is_basic_index(idx) -> bool:
                for p in parts)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b`, with the leading axes of an N-d `a` folded into one GEMM when
+    `b` is a single matrix; numpy would run one small GEMM per leading index."""
+    if a.ndim > 2 and b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    return a @ b
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -146,7 +154,7 @@ class Tensor:
             if av.ndim == 1:
                 g2 = np.expand_dims(g2, -2)
             if a.requires_grad:
-                ga = g2 @ np.swapaxes(b2, -1, -2)
+                ga = _matmul(g2, np.swapaxes(b2, -1, -2))
                 a._accumulate(_unbroadcast(ga, a2.shape).reshape(av.shape))
             if b.requires_grad:
                 if b2.ndim == 2:  # one weight shared by every leading index
@@ -155,7 +163,8 @@ class Tensor:
                     gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
                 b._accumulate(gb.reshape(bv.shape))
 
-        return Tensor(self.value @ other.value, _parents=(self, other), _backward=back, name="matmul")
+        return Tensor(_matmul(self.value, other.value), _parents=(self, other), _backward=back,
+                      name="matmul")
 
     def __getitem__(self, idx):
         def back(g, a=self, idx=idx):
@@ -181,25 +190,16 @@ class Tensor:
 
         return Tensor(self.value.sum(axis=axis), _parents=(self,), _backward=back, name="sum")
 
-    def mean(self, axis: int | None = None, mask=None):
-        """Mean over `axis`, or over every axis when it is None.
+    def mean(self, axis: int | None = None):
+        """Mean over `axis`, or over every axis when it is None."""
+        out_val = self.value.mean(axis=axis)
+        scale = np.size(out_val) / self.value.size
 
-        `mask` (0/1, broadcastable to the value) keeps only the entries
-        where it is 1; a slice with no kept entry means to 0.
-        """
-        if mask is None:
-            out_val = self.value.mean(axis=axis)
-            weights = np.size(out_val) / self.value.size
-        else:
-            mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), self.value.shape)
-            weights = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            out_val = (self.value * weights).sum(axis=axis)
-
-        def back(g, a=self, axis=axis, w=weights):
+        def back(g, a=self, axis=axis):
             if a.requires_grad:
                 if axis is not None:
                     g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g * w, a.value.shape))
+                a._accumulate(np.broadcast_to(g * scale, a.value.shape))
 
         return Tensor(out_val, _parents=(self,), _backward=back, name="mean")
 

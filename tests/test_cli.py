@@ -28,6 +28,32 @@ def test_invalid_config_exits_before_writing(command, tmp_path, capsys):
         assert not out.exists()
 
 
+NOT_UTF8 = b"\xff[run]\nseed = 1\n"
+NOT_UTF8_MESSAGE = "not UTF-8 text (byte 0xff at offset 0)"
+
+
+def test_config_not_utf8_exits_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(NOT_UTF8)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"invalid config: cannot read {cfg}: {NOT_UTF8_MESSAGE}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_game_not_utf8_exits_before_writing(tmp_path, capsys):
+    game = tmp_path / "bad.game"
+    game.write_bytes(NOT_UTF8)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["game-lab", "--game", str(game), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"invalid game: cannot read {game}: {NOT_UTF8_MESSAGE}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SMALL_CFG = """[run]
 episodes = 3
 

@@ -15,6 +15,13 @@ checked with
     python3 tools/run_digest.py > before.json    # in the parent's tree
     cmp before.json after.json
 
+Every run also has a `trajectory` digest of its discrete outcomes only: per
+episode (per cluster and round in the hierarchical run), the strategy, each
+utterance's text, the final text, the rewards and the degenerate flag. A
+change that moves losses, parameters or prompt embeddings at rounding level
+changes the other digests; if the `trajectory` digests still `cmp` equal,
+no text, reward or degenerate episode moved.
+
 The script imports `econ` from the `src/` directory next to it.
 """
 
@@ -45,22 +52,39 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def outcome(record) -> tuple:
+    """The discrete outcome of one `EpisodeRecord`."""
+    return (record.strategy, [u.text for u in record.utterances], record.final_text,
+            [float(r) for r in record.rewards], record.degenerate)
+
+
 def run_digests(**overrides) -> dict:
     """Digests of one `Orchestrator.train` run, with backends seeded as
     `econ train` seeds them."""
     cfg = RunConfig(**overrides)
     coordinator, agents = mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
+    outcomes = []
+    run_inference = orch.run_inference
+
+    def recorded(*args, **kwargs):
+        record = run_inference(*args, **kwargs)
+        outcomes.append(outcome(record))
+        return record
+
+    orch.run_inference = recorded
     with tempfile.TemporaryDirectory() as tmp:
         log = os.path.join(tmp, "episodes.jsonl")
         rows, reports = orch.train(QUESTIONS, episode_log_path=log)
         with open(log) as fh:
             episodes = fh.read()
+    del orch.run_inference
     return {
         "metrics": sha(repr([row.as_list() for row in rows])),
         "episodes_jsonl": sha(episodes),
         "reports": sha(repr(reports)),
         "checksums": sha(json.dumps(orch.checksums(), sort_keys=True)),
+        "trajectory": sha(repr(outcomes)),
     }
 
 
@@ -80,10 +104,13 @@ def hier_digests(seed: int = 1, agents: int = 9, clusters: int = 3,
     checksums = {f"cluster_{c}": orch.checksums()
                  for c, orch in enumerate(hier.cluster_orchs)}
     checksums["global_mixing"] = hier.global_mixing.params.checksum()
+    outcomes = [(rnd.global_strategy, [outcome(r) for r in rnd.cluster_records],
+                 rnd.final_text, rnd.cluster_rewards) for rnd, _, _ in history]
     return {
         "rounds_jsonl": sha(rounds_jsonl),
         "reports": sha(repr([report for _, report, _ in history])),
         "checksums": sha(json.dumps(checksums, sort_keys=True)),
+        "trajectory": sha(repr(outcomes)),
     }
 
 
