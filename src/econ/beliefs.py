@@ -149,14 +149,12 @@ class BeliefNetwork:
 
     # -- forward pieces -----------------------------------------------------
 
-    def pack(self, trajs: list) -> tuple[np.ndarray, np.ndarray]:
-        """B trajectories as `_encode` reads them: their left-aligned
-        (B, window, pair_dim) pairs, each divided by its trajectory's pair
-        count, and (B, window) weights, 1/count at each position present
-        and 0 elsewhere."""
+    def _pack(self, trajs: list) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs of B trajectories as a left-aligned (B, window, pair_dim)
+        array, with a (B, window, 1) 0/1 mask of the positions present."""
         window = self.cfg.window
         x = np.zeros((len(trajs), window, 2 + self.cfg.obs_dim))
-        weights = np.zeros((len(trajs), window))
+        mask = np.zeros((len(trajs), window, 1))
         for b, traj in enumerate(trajs):
             pairs = traj.pairs()
             if len(pairs) > window:
@@ -166,30 +164,17 @@ class BeliefNetwork:
                 actions, observations = zip(*pairs)
                 x[b, :len(pairs), :2] = actions
                 x[b, :len(pairs), 2:] = observations
-                x[b] /= len(pairs)
-                weights[b, :len(pairs)] = 1.0 / len(pairs)
-        return x, weights
+                mask[b, :len(pairs)] = 1.0
+        return x, mask
 
-    def _encode(self, packed: tuple, params) -> Tensor:
-        """(B, belief_dim): each pair x_w linearly projected, scaled by its
-        position's learned scalar pos_w and averaged over the pairs present.
-        An empty trajectory encodes to the zero vector.
-
-        By linearity, with a_w = pos_w / count at the positions present,
-
-            sum_w a_w (x_w W + b) = (sum_w a_w x_w) W + (sum_w a_w) b,
-
-        so each window is pooled first, as the (window,) @ (B, window,
-        pair_dim) product of `pos` and the count-divided pairs, and
-        projected once, as a (B, pair_dim) @ (pair_dim, belief_dim)
-        product. The pairs are constants, so no (B, window, pair_dim)
-        gradient is formed. The result matches the per-position form
-        (`tests/loop_reference.py`) to rounding."""
-        x, weights = packed
-        pos = params["traj.pos"]
-        pooled = pos @ Tensor(x)
-        bias = (Tensor(weights) @ pos).reshape(len(weights), 1) * params["traj.b_pair"]
-        return pooled @ params["traj.w_pair"] + bias
+    def _encode(self, trajs: list, params) -> Tensor:
+        """(B, belief_dim): each pair linearly projected, scaled by its
+        position's learned scalar and averaged over the pairs present.
+        An empty trajectory encodes to the zero vector."""
+        x, mask = self._pack(trajs)
+        proj = Tensor(x) @ params["traj.w_pair"] + params["traj.b_pair"]
+        proj = proj * params["traj.pos"].reshape(self.cfg.window, 1)
+        return proj.mean(axis=1, mask=mask)
 
     def _q_head(self, enc: Tensor, embeddings, params) -> Tensor:
         """Local Q-values of encodings (..., belief_dim) and prompt
@@ -203,7 +188,7 @@ class BeliefNetwork:
     def encode_trajectory(self, traj: Trajectory) -> Tensor:
         """Window of pairs, each linearly projected, pooled with learned
         per-position scalars. Empty trajectory -> zero vector."""
-        return self._encode(self.pack([traj]), self.params).reshape(self.cfg.belief_dim)
+        return self._encode([traj], self.params).reshape(self.cfg.belief_dim)
 
     def compute_belief(self, traj: Trajectory, obs: np.ndarray) -> Tensor:
         params = self.params
@@ -222,12 +207,11 @@ class BeliefNetwork:
         return temp, pen
 
     def local_q(self, traj: Trajectory, embedding: np.ndarray) -> Tensor:
-        return self.local_q_batch(self.pack([traj]), [embedding]).reshape(())
+        return self.local_q_batch([traj], [embedding]).reshape(())
 
-    def local_q_batch(self, packed: tuple, embeddings) -> Tensor:
-        """(B,) local Q-values of B trajectories, as `pack` returns them,
-        and their B prompt embeddings."""
-        return self._q_head(self._encode(packed, self.params), embeddings, self.params)
+    def local_q_batch(self, trajs: list, embeddings) -> Tensor:
+        """(B,) local Q-values of B (trajectory, prompt embedding) pairs."""
+        return self._q_head(self._encode(trajs, self.params), embeddings, self.params)
 
     def action_grid(self) -> np.ndarray:
         k = self.cfg.target_grid
@@ -242,18 +226,16 @@ class BeliefNetwork:
         """Per trajectory, the target Q head's maximum over the action grid,
         from one (B, grid) forward."""
         params = _FrozenView(self.target)
-        enc = self._encode(self.pack(next_trajs), params)
+        enc = self._encode(next_trajs, params)
         q = self._q_head(enc.reshape(len(next_trajs), 1, self.cfg.belief_dim),
                          self.action_grid(), params)
         return q.value.max(axis=1)
 
     # -- losses -------------------------------------------------------------
 
-    def td_loss(self, batch: list[Transition], gamma: float, packed=None) -> Tensor:
+    def td_loss(self, batch: list[Transition], gamma: float) -> Tensor:
         """Mean squared TD residual; terminal transitions drop the bootstrap.
-        Gradients flow into live parameters only; the target head is frozen.
-        `packed` is `pack` of the batch's trajectories, when the caller
-        already has it."""
+        Gradients flow into live parameters only; the target head is frozen."""
         if not batch:
             raise ValueError("td_loss on an empty batch")
         if not (0.0 <= gamma < 1.0):
@@ -262,9 +244,7 @@ class BeliefNetwork:
         live = [i for i, tr in enumerate(batch) if not tr.terminal]
         if live:
             target[live] += gamma * self._max_target_qs([batch[i].next_traj for i in live])
-        if packed is None:
-            packed = self.pack([tr.traj for tr in batch])
-        q = self.local_q_batch(packed, [tr.action for tr in batch])
+        q = self.local_q_batch([tr.traj for tr in batch], [tr.action for tr in batch])
         return (q - target).square().mean()
 
     def soft_update(self, tau: float):

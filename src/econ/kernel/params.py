@@ -14,10 +14,6 @@ CHECKPOINT_VERSION = "econ-ckpt-v1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# Elements of one parameter that `adam_step` updates at a time: the slice
-# of the value, both moments, the gradient and two scratch rows (256 KiB
-# each) stay in cache across the update's passes.
-ADAM_CHUNK = 32768
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int | None = None) -> np.ndarray:
@@ -44,9 +40,7 @@ class ParamStore:
     def add(self, name: str, value) -> Tensor:
         if name in self._params:
             raise KeyError(f"parameter '{name}' already exists")
-        # C order, so that `adam_step`'s flat views write through
-        t = Tensor(np.require(value, dtype=np.float64, requirements="C"),
-                   requires_grad=True, name=name)
+        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, name=name)
         self._params[name] = t
         return t
 
@@ -128,13 +122,7 @@ def adam_step(store: ParamStore, learning_rate: float):
     """One bias-corrected Adam update; zeroes gradients and bumps the step count.
 
     Missing gradient slots count as zero gradient. NaN gradients abort with
-    the offending parameter's name, before that parameter changes.
-
-    Each parameter is updated in slices of `ADAM_CHUNK` elements of its
-    flattened value, so the update's passes find their operands in cache
-    and its scratch is two slices, allocated once per call. Every element
-    sees the same operations in the same order as in one whole-array pass,
-    so the result is bit-identical to it.
+    the offending parameter's name.
     """
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
@@ -142,37 +130,28 @@ def adam_step(store: ParamStore, learning_rate: float):
     t = store.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    largest = max((q.value.size for q in store.tensors()), default=0)
-    scratch = np.empty((2, min(largest, ADAM_CHUNK)))
     for name, p in store.items():
         if p.grad is None and store.moments_are_zero(name):
             continue  # zero gradient on zero moments: the update is exactly 0
-        size = p.value.size
-        g = (p.grad.reshape(-1) if p.grad is not None
-             else np.broadcast_to(np.float64(0.0), size))
-        slices = [slice(lo, min(lo + ADAM_CHUNK, size)) for lo in range(0, size, ADAM_CHUNK)]
-        if not all(np.isfinite(g[s]).all() for s in slices):
+        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+        if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
-        m, v = (a.reshape(-1) for a in store.moments(name))
-        value = p.value.reshape(-1)
-        for s in slices:
-            n = s.stop - s.start
-            tmp, den = scratch[0, :n], scratch[1, :n]
-            gs, ms, vs = g[s], m[s], v[s]
-            # m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g g;
-            # value -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-            np.multiply(gs, 1.0 - ADAM_BETA1, out=tmp)
-            ms *= ADAM_BETA1
-            ms += tmp
-            np.multiply(gs, 1.0 - ADAM_BETA2, out=tmp)
-            tmp *= gs
-            vs *= ADAM_BETA2
-            vs += tmp
-            np.divide(vs, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += ADAM_EPSILON
-            np.divide(ms, bc1, out=tmp)
-            tmp /= den
-            tmp *= learning_rate
-            value[s] -= tmp
+        m, v = store.moments(name)
+        # m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g g;
+        # value -= lr (m / bc1) / (sqrt(v / bc2) + eps), in two scratch buffers
+        tmp, den = np.empty_like(m), np.empty_like(v)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPSILON
+        np.divide(m, bc1, out=tmp)
+        tmp /= den
+        tmp *= learning_rate
+        p.value -= tmp
     store.zero_grads()

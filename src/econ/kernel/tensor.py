@@ -190,16 +190,25 @@ class Tensor:
 
         return Tensor(self.value.sum(axis=axis), _parents=(self,), _backward=back, name="sum")
 
-    def mean(self, axis: int | None = None):
-        """Mean over `axis`, or over every axis when it is None."""
-        out_val = self.value.mean(axis=axis)
-        scale = np.size(out_val) / self.value.size
+    def mean(self, axis: int | None = None, mask=None):
+        """Mean over `axis`, or over every axis when it is None.
 
-        def back(g, a=self, axis=axis):
+        `mask` (0/1, broadcastable to the value) keeps only the entries
+        where it is 1; a slice with no kept entry means to 0.
+        """
+        if mask is None:
+            out_val = self.value.mean(axis=axis)
+            weights = np.size(out_val) / self.value.size
+        else:
+            mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), self.value.shape)
+            weights = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
+            out_val = (self.value * weights).sum(axis=axis)
+
+        def back(g, a=self, axis=axis, w=weights):
             if a.requires_grad:
                 if axis is not None:
                     g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g * scale, a.value.shape))
+                a._accumulate(np.broadcast_to(g * w, a.value.shape))
 
         return Tensor(out_val, _parents=(self,), _backward=back, name="mean")
 

@@ -285,12 +285,10 @@ class Orchestrator:
                    for i in range(len(self.agents))]
         order = []
 
-        # local belief-net TD steps; each agent's trajectories are packed
-        # once, for its TD loss and its post-TD local Q-values
-        l_tds, packs = [], []
+        # local belief-net TD steps
+        l_tds = []
         for i, net in enumerate(self.belief_nets):
-            packs.append(net.pack([t.traj for t in batches[i]]))
-            loss = net.td_loss(batches[i], self.cfg.gamma, packs[i])
+            loss = net.td_loss(batches[i], self.cfg.gamma)
             net.params.zero_grads()
             loss.backward()
             adam_step(net.params, self.cfg.eta)
@@ -300,7 +298,8 @@ class Orchestrator:
 
         # post-TD local Q-values (B, N), shared by the encoder and mixing steps
         local_qs = np.stack([
-            net.local_q_batch(packs[i], [t.action for t in batches[i]]).value
+            net.local_q_batch([t.traj for t in batches[i]],
+                              [t.action for t in batches[i]]).value
             for i, net in enumerate(self.belief_nets)], axis=1)
         embeddings = np.stack([[pe.as_array() for pe in rec.prompt_embeddings]
                                for rec in episodes])
