@@ -3,13 +3,14 @@
 Walks the full pipeline: the coordinator issues a strategy, each agent's
 belief network picks a (temperature, repetition-penalty) prompt embedding,
 the agents generate, rewards are blended and the three optimizer families
-run. Prints a short metrics table and writes plot-ready loss data.
+run. Prints a short metrics table and writes every episode's metrics row
+to train_mock_metrics.csv.
 """
 
 import numpy as np
 
 from econ.backends import MockBackend
-from econ.config import RunConfig, export_plot_data, subsystem_seed
+from econ.config import RunConfig, emit_metrics, subsystem_seed
 from econ.orchestrator import Orchestrator
 
 
@@ -35,9 +36,8 @@ def main():
     first, last = updated[0].l_tot, updated[-1].l_tot
     print(f"\ntotal loss {first:.4f} -> {last:.4f} over "
           f"{len(updated)} optimizer steps")
-    export_plot_data(rows, "loss-curve", "loss_curve.dat")
-    print("loss curve written to loss_curve.dat "
-          "(plot with e.g. `gnuplot` or any CSV tool)")
+    emit_metrics(rows, "train_mock_metrics.csv")
+    print("metrics rows written to train_mock_metrics.csv")
 
 
 if __name__ == "__main__":

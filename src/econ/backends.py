@@ -68,8 +68,8 @@ class SystemClock:
 class VirtualClock:
     """Deterministic clock for tests: sleep advances shared time instantly."""
 
-    def __init__(self, start: float = 0.0):
-        self._t = start
+    def __init__(self):
+        self._t = 0.0
         self._lock = threading.Lock()
 
     def now(self) -> float:
@@ -213,11 +213,10 @@ class MockBackend(Backend):
     VOCAB_SIZE = 48
 
     def __init__(self, seed: int = 0, length: int = 24,
-                 embed_dim: int = 256, answer_book: dict | None = None):
+                 embed_dim: int = 256):
         self.seed = seed
         self.embed_dim = embed_dim
         self.length = length
-        self.answer_book = answer_book or {}
         base_rng = np.random.default_rng(seed)
         self.vocab = [f"tok{i}" for i in range(self.VOCAB_SIZE)]
         self.base_logits = base_rng.normal(scale=1.5, size=self.VOCAB_SIZE)
@@ -258,9 +257,6 @@ class MockBackend(Backend):
             recent *= 0.8
             recent[idx] += 1.0
             words.append(self.vocab[idx])
-        answer = self.answer_book.get(request.query)
-        if answer is not None:
-            words.append(answer)
         text = " ".join(words)
         return Utterance(text, self.embed(text), len(words))
 

@@ -114,8 +114,8 @@ class BeliefNetwork:
     """One agent's belief network plus its target Q head.
 
     Parameter layout: `traj.*` trajectory encoder, `mlp.*` belief MLP,
-    `head.*` temperature/penalty heads, `q.*` local Q head (target copy in
-    a separate store holding only `q.*`).
+    `head.*` temperature/penalty heads, `q.*` local Q head. The target copy
+    is a separate store holding what the Q head reads: `traj.*` and `q.*`.
     """
 
     def __init__(self, cfg: BeliefNetConfig, rng: np.random.Generator):

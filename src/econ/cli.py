@@ -58,23 +58,11 @@ def _at_least(minimum: int):
     return count
 
 
-def _refuses_backend(cfg, command: str) -> bool:
-    """True (after telling the user) unless the config asks for the mock
-    backend, the only one the CLI wires."""
-    if cfg.backend == "mock":
-        return False
-    print(f"only the mock backend is wired for CLI {command} runs "
-          f"(config asks for backend = {cfg.backend})", file=sys.stderr)
-    return True
-
-
 def cmd_train(args) -> int:
     from .config import emit_metrics, write_manifest
     from .orchestrator import Orchestrator
 
     cfg = _load_cfg(args)
-    if _refuses_backend(cfg, "train"):
-        return 2
     os.makedirs(args.out, exist_ok=True)
     coordinator, agents = mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
@@ -91,8 +79,6 @@ def cmd_eval(args) -> int:
     from .orchestrator import Orchestrator
 
     cfg = _load_cfg(args)
-    if _refuses_backend(cfg, "eval"):
-        return 2
     os.makedirs(args.out, exist_ok=True)
     coordinator, agents = mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
@@ -111,8 +97,6 @@ def cmd_hier(args) -> int:
     from .hierarchy import MAX_CLUSTER_SIZE, HierOrchestrator
 
     cfg = _load_cfg(args)
-    if _refuses_backend(cfg, "hier"):
-        return 2
     if not args.clusters <= args.agents <= MAX_CLUSTER_SIZE * args.clusters:
         args.error(f"--agents must be at least --clusters ({args.clusters}) and at most "
                    f"{MAX_CLUSTER_SIZE} per cluster ({MAX_CLUSTER_SIZE * args.clusters}), "
@@ -177,14 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="inference-only evaluation")
     e.add_argument("--config", default=None)
     e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--episodes", type=_at_least(1), default=8)
+    e.add_argument("--episodes", type=_at_least(1), default=8,
+                   help="inference episodes to run, in place of the config's episodes")
     e.add_argument("--out", default="runs/eval")
     e.set_defaults(fn=cmd_eval, error=e.error)
 
     h = sub.add_parser("hier", help="hierarchical training")
     h.add_argument("--config", default=None)
     h.add_argument("--clusters", type=_at_least(1), default=3)
-    h.add_argument("--agents", type=_at_least(1), default=9)
+    h.add_argument("--agents", type=_at_least(1), default=9,
+                   help="execution agents over all clusters; replaces the config's agents")
     h.add_argument("--rounds", type=_at_least(1), default=None,
                    help="hierarchical rounds (default: the config's episodes)")
     h.add_argument("--seed", type=int, default=None)

@@ -1,5 +1,5 @@
-"""Run configuration, metrics emission, plot-data export, run manifests
-and per-subsystem seed derivation.
+"""Run configuration, metrics emission, run manifests and per-subsystem
+seed derivation.
 
 Configs are sectioned key=value text. Every key is validated against a
 documented range and unknown keys are rejected, so a config file is
@@ -40,8 +40,8 @@ class RunConfig:
     seed: int = _key(0, "run", lambda v: v >= 0, ">= 0")
     episodes: int = _key(100, "run", lambda v: v >= 1, ">= 1")
     agents: int = _key(3, "run", lambda v: v >= 1, ">= 1")
-    backend: str = _key("mock", "run", lambda v: v in ("mock", "http", "scripted"),
-                        "one of mock|http|scripted")
+    backend: str = _key("mock", "run", lambda v: v == "mock",
+                        "mock; other backends are built in Python, not from a config")
     max_rounds: int = _key(1, "run", lambda v: v == 1,
                            "1; multi-round episodes are not wired yet")
     d: int = _key(256, "model", lambda v: v >= 1, ">= 1")
@@ -167,7 +167,8 @@ def config_hash(cfg: RunConfig) -> str:
 
 # -- seeds ------------------------------------------------------------------
 
-_SEED_OFFSETS = {"init": 101, "generation": 211, "exploration": 307, "game": 401}
+_SEED_OFFSETS = {"init": 101, "generation": 211, "exploration": 307, "game": 401,
+                 "cluster": 503, "global-mixing": 601}
 
 
 def subsystem_seed(master: int, name: str) -> int:
@@ -208,59 +209,6 @@ def emit_metrics(rows: list, path):
         for r in rows:
             w.writerow([f"{v:.10g}" if isinstance(v, float) else v
                         for v in r.as_list()])
-
-
-def load_metrics(path) -> list:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(MetricsRow(
-                episode=int(rec["episode"]),
-                l_td=float(rec["l_td"]), l_e=float(rec["l_e"]),
-                l_mix=float(rec["l_mix"]), l_tot=float(rec["l_tot"]),
-                mean_r=float(rec["mean_r"]), delta_c=float(rec["delta_c"]),
-                stopped=int(rec["stopped"]), wall_time=float(rec["wall_time"]),
-                tokens=int(rec["tokens"])))
-    return rows
-
-
-PLOT_KINDS = ("loss-curve", "regret-curve", "reward-curve")
-
-
-def export_plot_data(data, kind: str, path):
-    """Plain numeric columns consumable by any plotting tool.
-
-    loss-curve / reward-curve take metrics rows; regret-curve takes a
-    regret trace and appends the fitted a*T^b column.
-    """
-    if kind not in PLOT_KINDS:
-        raise ValueError(f"unknown plot kind '{kind}'")
-    lines = []
-    if kind == "regret-curve":
-        from .gamelab import fit_regret_exponent
-
-        total = data.total if hasattr(data, "total") else data
-        if len(total) == 0:
-            raise ValueError("empty trace")
-        fit = fit_regret_exponent(total)
-        lines.append("t regret fitted")
-        for t, r in enumerate(total, start=1):
-            lines.append(f"{t} {r:.10g} {fit.a * t ** fit.b:.10g}")
-    else:
-        if not data:
-            raise ValueError("empty metrics")
-        if kind == "loss-curve":
-            lines.append("episode l_td l_e l_mix l_tot")
-            for row in data:
-                lines.append(f"{row.episode} {row.l_td:.10g} {row.l_e:.10g} "
-                             f"{row.l_mix:.10g} {row.l_tot:.10g}")
-        else:
-            lines.append("episode mean_r")
-            for row in data:
-                lines.append(f"{row.episode} {row.mean_r:.10g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def json_line(record: dict) -> str:

@@ -10,7 +10,7 @@ step, and the ordered report proves it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .backends import (
     ROLE_COORD_STRATEGY,
     run_concurrently,
 )
-from .config import RunConfig, json_line
+from .config import RunConfig, json_line, subsystem_seed
 from .kernel import cosine_sim
 from .mixing import MixingBatchItem, MixingNetwork
 from .orchestrator import (
@@ -31,6 +31,10 @@ from .orchestrator import (
 )
 
 MAX_CLUSTER_SIZE = 4
+# An orchestrator seeds its networks from `subsystem_seed(seed, "init")`
+# plus offsets below 3000, so master seeds 3 apart give clusters disjoint
+# init streams.
+CLUSTER_SEED_STRIDE = 3
 
 
 @dataclass
@@ -62,8 +66,6 @@ def assign_clusters(agent_ids: list, k: int) -> list[Cluster]:
 class HierRound:
     question: str
     global_strategy: str
-    cluster_outputs: list       # c_k texts
-    cluster_embeddings: list    # c_k embedding vectors
     cluster_rewards: list       # R_k in [0, r_max]
     cluster_records: list       # per-cluster EpisodeRecord
     final_text: str
@@ -87,9 +89,12 @@ class HierOrchestrator:
         self.cluster_orchs = []
         for c, coord in zip(self.clusters, local_coordinators):
             member_backends = [agents[i] for i in c.members]
+            # one cluster keeps the flat run's seed, so it trains as the flat run
+            cluster_cfg = cfg if k == 1 else replace(
+                cfg, seed=subsystem_seed(cfg.seed, "cluster") + CLUSTER_SEED_STRIDE * c.cid)
             self.cluster_orchs.append(
-                Orchestrator(cfg, coord, member_backends, evaluator=evaluator))
-        rng = np.random.default_rng(cfg.seed + 7000)
+                Orchestrator(cluster_cfg, coord, member_backends, evaluator=evaluator))
+        rng = np.random.default_rng(subsystem_seed(cfg.seed, "global-mixing"))
         self.global_mixing = MixingNetwork(
             k, group_dim=cfg.d, c_dim=global_coordinator.embed_dim, rng=rng)
         self.prev_c_embed = None
@@ -117,27 +122,23 @@ class HierOrchestrator:
         records = run_concurrently([functools.partial(infer, orch)
                                     for orch in self.cluster_orchs])
 
-        outputs = [r.final_text for r in records]
-        embeds = [r.final_embedding for r in records]
-
         if self.k == 1:
-            final_text, final_embed = outputs[0], embeds[0]
+            final_text, final_embed = records[0].final_text, records[0].final_embedding
         else:
             u = final_output(self.global_coordinator, question,
                              [r.final_text for r in records if not r.degenerate])
             final_text, final_embed = u.text, u.embedding
 
         rewards = []
-        for r, e in zip(records, embeds):
+        for r in records:
             if r.degenerate:
                 rewards.append(0.0)
             else:
-                rewards.append(
-                    float(min(self.cfg.r_max, max(0.0, cosine_sim(e, final_embed)))))
+                rewards.append(float(min(self.cfg.r_max, max(
+                    0.0, cosine_sim(r.final_embedding, final_embed)))))
 
         return HierRound(
             question=question, global_strategy=global_strategy,
-            cluster_outputs=outputs, cluster_embeddings=embeds,
             cluster_rewards=rewards, cluster_records=records,
             final_text=final_text, final_embedding=np.asarray(final_embed).copy(),
             parallel_clusters=True)

@@ -20,7 +20,6 @@ from .backends import (
     ROLE_COORD_STRATEGY,
     ROLE_EXECUTION,
     Utterance,
-    VirtualClock,
     run_jobs,
     truncate_strategy,
 )
@@ -136,14 +135,13 @@ class Orchestrator:
     EXPECTED_REWARD_DECAY = 0.9
 
     def __init__(self, cfg: RunConfig, coordinator, agents: list,
-                 evaluator: Evaluator | None = None, clock=None):
+                 evaluator: Evaluator | None = None):
         if not agents:
             raise ValueError("need at least one execution agent")
         self.cfg = cfg
         self.coordinator = coordinator
         self.agents = agents
         self.evaluator = evaluator if evaluator is not None else ExactMatchEvaluator({})
-        self.clock = clock if clock is not None else VirtualClock()
         embed_dim = coordinator.embed_dim
 
         bounds = PromptBounds(cfg.t_min, cfg.t_max, cfg.p_min, cfg.p_max)
@@ -393,7 +391,6 @@ class Orchestrator:
         rows, reports = [], []
         log_fh = open(episode_log_path, "w") if episode_log_path else None
         try:
-            start = self.clock.now()
             for ep in range(1, self.cfg.episodes + 1):
                 question = questions[(ep - 1) % len(questions)]
                 record = self.run_inference(question)
@@ -403,7 +400,6 @@ class Orchestrator:
                 else:
                     report = {"skipped": True, "reason": "off-interval episode"}
                 stop, stop_info = self.check_early_stop(record, report, stop_cfg)
-                self.clock.sleep(1.0)
                 row = MetricsRow(
                     episode=ep,
                     l_td=float(np.mean(report["l_td"])) if not report["skipped"] else 0.0,
@@ -413,7 +409,7 @@ class Orchestrator:
                     mean_r=stop_info["mean_r"],
                     delta_c=stop_info["delta_c"] if np.isfinite(stop_info["delta_c"]) else -1.0,
                     stopped=int(stop),
-                    wall_time=self.clock.now() - start,
+                    wall_time=float(ep),
                     tokens=sum(u.token_count for u in record.utterances))
                 rows.append(row)
                 reports.append(report)

@@ -69,9 +69,6 @@ def mock_generate(backend, request):
         recent *= 0.8
         recent[idx] += 1.0
         words.append(backend.vocab[idx])
-    answer = backend.answer_book.get(request.query)
-    if answer is not None:
-        words.append(answer)
     text = " ".join(words)
     return Utterance(text, backend.embed(text), len(words))
 

@@ -129,10 +129,6 @@ class TestMockBackend:
             return 1.0 - len(set(tokens)) / len(tokens)
         assert repeat_rate(0.9) < repeat_rate(0.1)
 
-    def test_answer_book_appended(self):
-        be = MockBackend(seed=1, answer_book={"q1": "42"})
-        assert be.generate(exec_request(query="q1")).text.endswith("42")
-
     def test_token_count_is_whitespace_tokens(self):
         be = MockBackend(seed=2, length=24)
         u = be.generate(exec_request())
@@ -141,14 +137,14 @@ class TestMockBackend:
 
 def _oracle_requests(n: int) -> list:
     """All three roles; execution temperatures from below the 1e-6 floor up
-    to 2 and penalties from 0 to 2; exactly one answer-book query."""
+    to 2 and penalties from 0 to 2."""
     rng = np.random.default_rng(2024)
     floor_temps = (1e-7, 5e-7, 1e-6, 2e-6, 1e-5, 2.0)
     roles = (ROLE_COORD_STRATEGY, ROLE_COORD_FINAL, ROLE_EXECUTION)
     requests = []
     for k in range(n):
         role = roles[k % 3]
-        query = "q-book" if k == 5 else f"question-{k % 17}"
+        query = f"question-{k % 17}"
         strategy = "" if role == ROLE_COORD_STRATEGY else f"strategy {k % 5}"
         embedding = None
         if role == ROLE_EXECUTION:
@@ -165,8 +161,7 @@ class TestMockSamplerOracle:
     """`MockBackend.generate` against the per-token `rng.choice` loop."""
 
     def test_matches_choice_loop(self):
-        backends = [MockBackend(seed=s, answer_book={"q-book": "42"})
-                    for s in (0, 7, 211, 9001)]
+        backends = [MockBackend(seed=s) for s in (0, 7, 211, 9001)]
         requests = _oracle_requests(2100)
         assert {r.role for r in requests} == {ROLE_COORD_STRATEGY, ROLE_COORD_FINAL,
                                               ROLE_EXECUTION}
@@ -176,9 +171,6 @@ class TestMockSamplerOracle:
             assert got.text == want.text, k
             assert got.token_count == want.token_count, k
             assert got.embedding.tobytes() == want.embedding.tobytes(), k
-        book = requests[5]
-        assert book.query == "q-book" and book.role == ROLE_EXECUTION
-        assert backends[1].generate(book).text.endswith(" 42")
 
     @pytest.mark.parametrize("temp, pen", [(float("nan"), 0.5), (0.5, float("nan")),
                                            (0.5, float("inf")), (0.5, -float("inf"))])

@@ -6,11 +6,14 @@ from econ.cli import build_parser, main
 @pytest.mark.parametrize("command", ["train", "eval", "hier"])
 def test_non_mock_backend_refused(command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[run]\nbackend = http\n")
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "backend = http" in capsys.readouterr().err
-    assert not out.exists()
+    for backend in ("http", "scripted"):
+        cfg.write_text(f"[run]\nbackend = {backend}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"value {backend!r} for 'backend' out of range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "hier"])

@@ -78,7 +78,7 @@ class TestHierRound:
     def test_round_shape_and_reward_range(self):
         hier = make_hier()
         rnd = hier.run_hier_round("q")
-        assert len(rnd.cluster_outputs) == 3
+        assert len(rnd.cluster_records) == 3
         assert len(rnd.cluster_rewards) == 3
         assert all(0.0 <= r <= hier.cfg.r_max for r in rnd.cluster_rewards)
         assert rnd.parallel_clusters
@@ -168,6 +168,7 @@ class TestFlatEquivalence:
         hier = HierOrchestrator(cfg, coord, [coord], agents, k=1)
         flat = Orchestrator(cfg, coord, agents)
 
+        assert hier.cluster_orchs[0].checksums() == flat.checksums()
         rnd = hier.run_hier_round("same question")
         rec = flat.run_inference("same question")
 
@@ -177,6 +178,16 @@ class TestFlatEquivalence:
         assert inner.rewards == rec.rewards
         assert rnd.final_text == inner.final_text
         np.testing.assert_array_equal(rnd.final_embedding, inner.final_embedding)
+
+
+class TestClusterSeeds:
+    def test_clusters_start_from_distinct_weights(self):
+        hier = make_hier(cfg=small_cfg(seed=1, agents=9))
+        sums = [orch.checksums() for orch in hier.cluster_orchs]
+        for name in sums[0]:
+            assert len({s[name] for s in sums}) == len(sums), name
+        mixers = {s["mixing"] for s in sums} | {hier.global_mixing.params.checksum()}
+        assert len(mixers) == len(sums) + 1
 
 
 class TestConvergence:

@@ -318,4 +318,5 @@ class TestTrainLoop:
     def test_wall_time_advances_per_episode(self):
         cfg = small_cfg(episodes=3)
         rows, _ = make_orch(cfg).train(["q"])
-        assert [r.wall_time for r in rows] == [1.0, 2.0, 3.0]
+        assert [r.episode for r in rows] == [1, 2, 3]
+        assert all(r.wall_time == float(r.episode) for r in rows)
