@@ -309,7 +309,6 @@ class HttpConfig:
     base_url: str = field(default_factory=lambda: os.environ.get("ECON_BASE_URL", ""))
     api_key: str = field(default_factory=lambda: os.environ.get("ECON_API_KEY", ""))
     model: str = "default"
-    context_cap: int = 2048
 
 
 class HttpBackend(Backend):
@@ -358,7 +357,7 @@ class HttpBackend(Backend):
         payload = {
             "model": self.cfg.model,
             "messages": messages,
-            "max_tokens": min(self.TOKEN_BUDGET, self.cfg.context_cap),
+            "max_tokens": self.TOKEN_BUDGET,
         }
         if request.prompt_embedding is not None:
             payload["temperature"] = request.prompt_embedding.temperature

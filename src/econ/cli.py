@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ def _load_cfg(args):
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+            cfg = replace(cfg, seed=args.seed)
     except OSError as exc:
         args.error(f"invalid config: cannot read {args.config}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
@@ -78,12 +79,12 @@ def cmd_eval(args) -> int:
     from .config import write_manifest
     from .orchestrator import Orchestrator
 
-    cfg = _load_cfg(args)
+    cfg = replace(_load_cfg(args), episodes=args.episodes)
     os.makedirs(args.out, exist_ok=True)
     coordinator, agents = mock_backends(cfg)
     orch = Orchestrator(cfg, coordinator, agents)
     rewards = []
-    for ep in range(args.episodes):
+    for ep in range(cfg.episodes):
         record = orch.run_inference(QUESTIONS[ep % len(QUESTIONS)])
         orch.absorb_episode(record)
         rewards.append(float(np.mean(record.rewards)))
@@ -93,7 +94,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_hier(args) -> int:
-    from .config import RunConfig, write_manifest
+    from .config import write_manifest
     from .hierarchy import MAX_CLUSTER_SIZE, HierOrchestrator
 
     cfg = _load_cfg(args)
@@ -101,14 +102,14 @@ def cmd_hier(args) -> int:
         args.error(f"--agents must be at least --clusters ({args.clusters}) and at most "
                    f"{MAX_CLUSTER_SIZE} per cluster ({MAX_CLUSTER_SIZE * args.clusters}), "
                    f"got {args.agents}")
-    cfg = RunConfig(**{**cfg.__dict__, "agents": args.agents})
+    cfg = replace(cfg, agents=args.agents,
+                  episodes=args.rounds if args.rounds is not None else cfg.episodes)
     os.makedirs(args.out, exist_ok=True)
     coordinator, backends = mock_backends(cfg, extra=args.clusters)
     agents = backends[:cfg.agents]
     locals_ = backends[cfg.agents:cfg.agents + args.clusters]
     hier = HierOrchestrator(cfg, coordinator, locals_, agents, args.clusters)
-    rounds = args.rounds if args.rounds is not None else cfg.episodes
-    history = hier.train(QUESTIONS, rounds=rounds,
+    history = hier.train(QUESTIONS, rounds=cfg.episodes,
                          round_log_path=os.path.join(args.out, "rounds.jsonl"))
     write_manifest(os.path.join(args.out, "manifest.json"), cfg, "hier")
     last = history[-1][0]
@@ -118,7 +119,8 @@ def cmd_hier(args) -> int:
 
 
 def cmd_game_lab(args) -> int:
-    from .gamelab import fit_regret_exponent, load_game, load_shipped_game, run_debate, run_econ
+    from .gamelab import (DebateLearner, EconGameLearner, fit_regret_exponent, load_game,
+                          load_shipped_game, run_learner)
     from .gamelab.games import GameFormatError, shipped_game_names
 
     shipped = shipped_game_names()
@@ -136,8 +138,12 @@ def cmd_game_lab(args) -> int:
     else:
         args.error(f"--game {args.game!r} is neither a file nor a shipped game "
                    f"({', '.join(shipped)})")
-    runner = run_econ if args.learner == "econ" else run_debate
-    _, trace = runner(game, args.steps, seed=args.seed)
+    learner_cls = EconGameLearner if args.learner == "econ" else DebateLearner
+    try:
+        learner = learner_cls(game, seed=args.seed)
+    except ValueError as exc:  # the debate baseline refuses a game that is not constant-sum
+        args.error(f"invalid game: {exc}")
+    trace = run_learner(learner, args.steps, args.learner, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, f"regret_{args.learner}.csv")
     trace.to_csv(trace_path)
@@ -180,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("game-lab", help="finite-game learning and regret traces")
     g.add_argument("--game", required=True,
                    help="path to a .game file or a shipped game name")
-    g.add_argument("--learner", choices=["econ", "debate"], default="econ")
+    g.add_argument("--learner", choices=["econ", "debate"], default="econ",
+                   help="the equilibrium learner, or the debate baseline, which accepts "
+                        "only constant-sum games")
     g.add_argument("--steps", type=_at_least(MIN_FIT_STEPS), default=1000,
                    help=f"learner steps (at least {MIN_FIT_STEPS}, to fit the regret exponent)")
     g.add_argument("--seed", type=int, default=0)

@@ -167,8 +167,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 # -- seeds ------------------------------------------------------------------
 
-_SEED_OFFSETS = {"init": 101, "generation": 211, "exploration": 307, "game": 401,
-                 "cluster": 503, "global-mixing": 601}
+_SEED_OFFSETS = {"init": 101, "generation": 211, "cluster": 503, "global-mixing": 601}
 
 
 def subsystem_seed(master: int, name: str) -> int:
@@ -180,10 +179,6 @@ def subsystem_seed(master: int, name: str) -> int:
 
 # -- metrics ----------------------------------------------------------------
 
-METRICS_COLUMNS = ("episode", "l_td", "l_e", "l_mix", "l_tot", "mean_r",
-                   "delta_c", "stopped", "wall_time", "tokens")
-
-
 @dataclass
 class MetricsRow:
     episode: int
@@ -194,11 +189,13 @@ class MetricsRow:
     mean_r: float = 0.0
     delta_c: float = 0.0
     stopped: int = 0
-    wall_time: float = 0.0
     tokens: int = 0
 
     def as_list(self) -> list:
         return [getattr(self, c) for c in METRICS_COLUMNS]
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def emit_metrics(rows: list, path):

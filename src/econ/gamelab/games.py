@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+CONSTANT_SUM_TOL = 1e-9  # largest spread of payoff totals that still counts as constant
+
+
 class GameFormatError(ValueError):
     """Malformed game definition file."""
 
@@ -56,10 +59,10 @@ class FiniteBayesianGame:
     def type_shape(self) -> tuple:
         return tuple(len(t) for t in self.types)
 
-    def payoff_sum_constant(self, tol: float = 1e-9):
+    def payoff_sum_constant(self):
         """The game's constant sum, or None if payoff totals vary."""
         totals = self.payoffs.sum(axis=-1)
-        if totals.max() - totals.min() <= tol:
+        if totals.max() - totals.min() <= CONSTANT_SUM_TOL:
             return float(totals.flat[0])
         return None
 
@@ -101,9 +104,6 @@ class MixedStrategyProfile:
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.strategies[i]
-
-    def __len__(self):
-        return len(self.strategies)
 
 
 @dataclass

@@ -50,12 +50,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
     def items(self):
         return self._params.items()
 

@@ -69,10 +69,6 @@ class Tensor:
 
     # -- basic introspection ------------------------------------------------
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -266,24 +262,6 @@ class Tensor:
                 a._accumulate(g * 0.5 / ov)
 
         return Tensor(out_val, _parents=(self,), _backward=back, name="sqrt")
-
-    def exp(self):
-        out_val = np.exp(self.value)
-
-        def back(g, a=self, ov=out_val):
-            if a.requires_grad:
-                a._accumulate(g * ov)
-
-        return Tensor(out_val, _parents=(self,), _backward=back, name="exp")
-
-    def log(self):
-        def back(g, a=self):
-            if a.requires_grad:
-                a._accumulate(g / a.value)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out_val = np.log(self.value)
-        return Tensor(out_val, _parents=(self,), _backward=back, name="log")
 
     def softmax(self, axis: int = -1):
         shifted = self.value - self.value.max(axis=axis, keepdims=True)

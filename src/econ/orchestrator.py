@@ -409,7 +409,6 @@ class Orchestrator:
                     mean_r=stop_info["mean_r"],
                     delta_c=stop_info["delta_c"] if np.isfinite(stop_info["delta_c"]) else -1.0,
                     stopped=int(stop),
-                    wall_time=float(ep),
                     tokens=sum(u.token_count for u in record.utterances))
                 rows.append(row)
                 reports.append(report)

@@ -137,7 +137,7 @@ class TestTDLoss:
         loss = net.td_loss([make_transition(seed=11)], gamma=0.9)
         net.params.zero_grads()
         loss.backward()
-        assert all(t.grad is None for t in net.target.tensors())
+        assert all(t.grad is None for _, t in net.target.items())
 
     def test_validation(self):
         net = make_net()

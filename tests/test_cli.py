@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from econ.cli import build_parser, main
@@ -83,6 +85,7 @@ def test_hier_rounds_default_to_config_episodes(flags, rounds, tmp_path):
     assert main(["hier", "--config", str(cfg), "--agents", "4", "--clusters", "2",
                  "--out", str(out)] + flags) == 0
     assert len((out / "rounds.jsonl").read_text().splitlines()) == rounds
+    assert json.loads((out / "manifest.json").read_text())["config"]["episodes"] == rounds
 
 
 def test_game_lab_unknown_game_names_shipped_games(tmp_path, capsys):
@@ -173,3 +176,21 @@ def test_game_lab_at_minimum_steps(tmp_path):
     assert main(["game-lab", "--game", "matching_pennies", "--steps", "100",
                  "--out", str(out)]) == 0
     assert (out / "regret_econ.csv").exists()
+
+
+@pytest.mark.parametrize("game", ["coordination_typed", "dominant_three"])
+def test_game_lab_debate_refuses_non_constant_sum_game(game, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["game-lab", "--game", game, "--learner", "debate", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid game: debate baseline requires a constant-sum game" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_manifest_records_episodes_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    out = tmp_path / "out"
+    assert main(["eval", "--config", str(cfg), "--episodes", "2", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["episodes"] == 2

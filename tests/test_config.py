@@ -118,11 +118,11 @@ class TestSeeds:
     def test_known_offsets(self):
         assert subsystem_seed(0, "init") == 101
         assert subsystem_seed(3, "generation") == 3211
-        assert subsystem_seed(1, "exploration") == 1307
-        assert subsystem_seed(2, "game") == 2401
+        assert subsystem_seed(1, "cluster") == 1503
+        assert subsystem_seed(2, "global-mixing") == 2601
 
     def test_distinct_across_subsystems_and_masters(self):
-        names = ("init", "generation", "exploration", "game", "cluster", "global-mixing")
+        names = ("init", "generation", "cluster", "global-mixing")
         seeds = {subsystem_seed(m, s) for m in range(50) for s in names}
         assert len(seeds) == 50 * len(names)
 
@@ -134,7 +134,7 @@ class TestSeeds:
 def sample_rows(n=5):
     return [MetricsRow(episode=i, l_td=1.0 / (i + 1), l_e=0.2, l_mix=0.3,
                        l_tot=0.5 + i, mean_r=0.6, delta_c=0.01 * i,
-                       stopped=int(i == n - 1), wall_time=float(i), tokens=10 * i)
+                       stopped=int(i == n - 1), tokens=10 * i)
             for i in range(n)]
 
 

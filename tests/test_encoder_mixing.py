@@ -184,7 +184,7 @@ class TestMixingLosses:
         loss = net.mixing_loss(batch, gamma=0.9, lam_m=0.1, lam_b=0.1)
         net.params.zero_grads()
         loss.backward()
-        assert all(t.grad is None for t in net.target.tensors())
+        assert all(t.grad is None for _, t in net.target.items())
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

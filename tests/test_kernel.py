@@ -54,8 +54,8 @@ class TestTensorOps:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor(np.array([1.0, np.nan]))
-        with pytest.raises(NonFiniteError):
-            Tensor(0.0).log()
+        with pytest.raises(NonFiniteError), np.errstate(divide="ignore"):
+            Tensor(0.0).reciprocal()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, [1.0, np.nan], [[0.0], [np.inf]]])
     def test_nonfinite_construction_rejected(self, value):
@@ -63,13 +63,12 @@ class TestTensorOps:
             Tensor(value)
 
     @pytest.mark.parametrize("op, build", [
-        ("log", lambda: Tensor(np.array([1.0, 0.0])).log()),
         ("reciprocal", lambda: Tensor(np.array([2.0, 0.0])).reciprocal()),
-        ("exp", lambda: Tensor(np.array([0.0, 800.0])).exp()),
+        ("sqrt", lambda: Tensor(np.array([4.0, -1.0])).sqrt()),
         ("matmul", lambda: Tensor(np.full((2, 2), 1e200)) @ Tensor(np.full((2, 2), 1e200))),
     ])
     def test_nonfinite_op_output_rejected(self, op, build):
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match=f"'{op}'"):
                 build()
 
@@ -252,7 +251,7 @@ class TestAttention:
         fused, per_head = ParamStore(), ParamStore()
         attention_params(fused, "enc", rng(3), in_dim=5, heads=heads, model_dim=8)
         ref.attention_params(per_head, "enc", rng(3), in_dim=5, heads=heads, model_dim=8)
-        assert fused.names() == ["enc.w_qkv", "enc.w_o"]
+        assert [name for name, _ in fused.items()] == ["enc.w_qkv", "enc.w_o"]
         w_qkv = fused["enc.w_qkv"].value
         assert w_qkv.shape == (5, 24)
         head_dim = 8 // heads

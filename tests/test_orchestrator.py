@@ -314,9 +314,3 @@ class TestTrainLoop:
         assert rows[-1].stopped == 1
         assert all(r.stopped == 0 for r in rows[:-1])
         assert len(rows) < 10
-
-    def test_wall_time_advances_per_episode(self):
-        cfg = small_cfg(episodes=3)
-        rows, _ = make_orch(cfg).train(["q"])
-        assert [r.episode for r in rows] == [1, 2, 3]
-        assert all(r.wall_time == float(r.episode) for r in rows)
