@@ -9,6 +9,7 @@ all mutation happens in the optimization phase, which runs every
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -138,6 +139,13 @@ class Orchestrator:
                  evaluator: Evaluator | None = None):
         if not agents:
             raise ValueError("need at least one execution agent")
+        # At default sizes a trained orchestrator holds ~21 MB of parameters
+        # and Adam moments. A caller that stores a wrapper of one of its
+        # bound methods on it makes a reference cycle, which only a full
+        # collection frees, and none may come for minutes. Collecting here
+        # keeps a process that builds orchestrators one after another at
+        # the ones it still references, whatever the collector's timing.
+        gc.collect()
         self.cfg = cfg
         self.coordinator = coordinator
         self.agents = agents

@@ -1,5 +1,6 @@
 import json
 import warnings
+import weakref
 from itertools import product
 
 import numpy as np
@@ -284,6 +285,22 @@ class TestEarlyStop:
             EarlyStopConfig(eps_c=0.0)
         with pytest.raises(ValueError):
             EarlyStopConfig(patience=0)
+
+
+class TestLifetime:
+    def test_building_frees_unreferenced_cycles(self):
+        """An orchestrator that holds a wrapper of its own bound method is
+        freed by the next build, not by whenever the collector runs."""
+        def wrap(fn):
+            return lambda *a, **k: fn(*a, **k)
+
+        orch = make_orch()
+        orch.run_inference = wrap(orch.run_inference)
+        ref = weakref.ref(orch)
+        del orch
+        assert ref() is not None
+        make_orch()
+        assert ref() is None
 
 
 class TestTrainLoop:
