@@ -1,11 +1,13 @@
-"""Finite Bayesian games with exact-enumeration payoff evaluation, a
-best-response / exploitability oracle and a grid-refinement equilibrium
-search for small games (<= 3 players, <= 3 actions, <= 2 types)."""
+"""Finite Bayesian games with exact payoff evaluation, a best-response /
+exploitability oracle and a grid-refinement equilibrium search for small
+games (<= 3 players, <= 3 actions, <= 2 types). Every evaluation reads
+`payoff_table`, one tensor contraction per player; strategies may carry
+leading batch axes, so the search scores many profiles per contraction."""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +48,8 @@ class FiniteBayesianGame:
             raise GameFormatError(f"prior shape {self.prior.shape} != {tshape}")
         if self.payoffs.shape != tshape + ashape + (n,):
             raise GameFormatError("payoff tensor shape mismatch")
+        if not (np.isfinite(self.prior).all() and np.isfinite(self.payoffs).all()):
+            raise GameFormatError("prior and payoffs must be finite")
         if abs(self.prior.sum() - 1.0) > 1e-9 or (self.prior < 0).any():
             raise GameFormatError("prior must be a distribution summing to 1")
         if np.abs(self.payoffs).max() > self.r_max + 1e-9:
@@ -75,7 +79,8 @@ class MixedStrategyProfile:
         for s in self.strategies:
             if s.ndim != 2:
                 raise ValueError("each strategy must be (n_types, n_actions)")
-            if (s < -1e-12).any() or np.abs(s.sum(axis=1) - 1.0).max() > 1e-9:
+            if (not np.isfinite(s).all() or (s < -1e-12).any()
+                    or np.abs(s.sum(axis=1) - 1.0).max() > 1e-9):
                 raise ValueError("strategy rows must be distributions summing to 1")
 
     @classmethod
@@ -120,21 +125,36 @@ class ExploitabilityReport:
 # -- evaluation -------------------------------------------------------------
 
 
+def payoff_table(game: FiniteBayesianGame, strategies, i: int) -> np.ndarray:
+    """q[..., t_i, a_i]: player i's prior-weighted expected payoff for each
+    own (type, action) against the others' strategies, one contraction of
+    the prior, i's payoffs and `strategies[j]` for j != i. Each is player
+    j's (n_types, n_actions) strategy, or a stack of them with leading
+    batch axes."""
+    n = game.n_players
+    operands = [game.prior, list(range(n)), game.payoffs[..., i], list(range(2 * n))]
+    for j in range(n):
+        if j != i:
+            operands += [strategies[j], [..., j, n + j]]
+    return np.einsum(*operands, [..., i, n + i], optimize=False)
+
+
+def best_response_gaps(game: FiniteBayesianGame, strategies) -> np.ndarray:
+    """Per player, the best-response gain over its own strategy, shape
+    (..., n_players); leading batch axes of the strategies carry through."""
+    gaps = []
+    for i in range(game.n_players):
+        q = payoff_table(game, strategies, i)
+        gain = q.max(axis=-1).sum(axis=-1) - (q * strategies[i]).sum(axis=(-2, -1))
+        gaps.append(np.maximum(gain, 0.0))
+    return np.stack(gaps, axis=-1)
+
+
 def expected_payoff(game: FiniteBayesianGame, profile: MixedStrategyProfile,
                     i: int) -> float:
-    """Exact enumeration over type and action profiles."""
-    total = 0.0
-    for theta in np.ndindex(game.type_shape):
-        p_theta = game.prior[theta]
-        if p_theta == 0.0:
-            continue
-        # joint action distribution = outer product of per-player rows
-        rows = [profile[j][theta[j]] for j in range(game.n_players)]
-        joint = rows[0]
-        for r in rows[1:]:
-            joint = np.multiply.outer(joint, r)
-        total += p_theta * float((joint * game.payoffs[theta + (...,)][..., i]).sum())
-    return total
+    """Player i's ex-ante expected payoff: its payoff table weighted by its
+    own strategy."""
+    return float((payoff_table(game, profile, i) * profile[i]).sum())
 
 
 def best_response(game: FiniteBayesianGame, i: int,
@@ -142,40 +162,15 @@ def best_response(game: FiniteBayesianGame, i: int,
     """Per type of player i, the argmax pure action against the others'
     strategies in `profile` (ties resolve to the lowest action index).
     Returns (pure strategy, its ex-ante expected value)."""
-    n_types = len(game.types[i])
-    n_actions = len(game.actions[i])
-    br = np.zeros((n_types, n_actions))
-    value = 0.0
-    marginal = game.prior.sum(axis=tuple(j for j in range(game.n_players) if j != i))
-    for ti in range(n_types):
-        if marginal[ti] == 0.0:
-            br[ti, 0] = 1.0
-            continue
-        scores = np.zeros(n_actions)
-        for theta in np.ndindex(game.type_shape):
-            if theta[i] != ti or game.prior[theta] == 0.0:
-                continue
-            w = game.prior[theta]
-            rows = [profile[j][theta[j]] for j in range(game.n_players) if j != i]
-            pay = game.payoffs[theta + (...,)][..., i]
-            for ai in range(n_actions):
-                slab = np.take(pay, ai, axis=i)
-                joint = np.array(1.0)
-                for r in rows:
-                    joint = np.multiply.outer(joint, r)
-                scores[ai] += w * float((joint * slab).sum())
-        a_star = int(np.argmax(scores))
-        br[ti, a_star] = 1.0
-        value += scores[a_star]
-    return br, value
+    q = payoff_table(game, profile, i)
+    br = np.zeros_like(q)
+    br[np.arange(q.shape[0]), q.argmax(axis=1)] = 1.0
+    return br, float(q.max(axis=1).sum())
 
 
 def exploitability(game: FiniteBayesianGame,
                    profile: MixedStrategyProfile) -> ExploitabilityReport:
-    gains = np.zeros(game.n_players)
-    for i in range(game.n_players):
-        _, br_value = best_response(game, i, profile)
-        gains[i] = max(br_value - expected_payoff(game, profile, i), 0.0)
+    gains = best_response_gaps(game, profile)
     return ExploitabilityReport(gains, float(gains.max()))
 
 
@@ -214,73 +209,84 @@ def _simplex_neighbors(point: np.ndarray, step: float) -> list[np.ndarray]:
     return out
 
 
-def _slots(game: FiniteBayesianGame) -> list[tuple[int, int]]:
-    return [(i, t) for i in range(game.n_players)
-            for t in range(len(game.types[i]))]
-
-
-def _profile_from_slots(game, slot_points) -> MixedStrategyProfile:
-    strats = []
-    idx = 0
-    for i in range(game.n_players):
-        rows = []
-        for _ in range(len(game.types[i])):
-            rows.append(slot_points[idx])
-            idx += 1
-        strats.append(np.stack(rows))
-    return MixedStrategyProfile(strats)
-
-
 BNE_COARSE_STEP = 0.25
 BNE_KEEP = 8
+_GRID_CHUNK = 1024  # coarse-grid profiles scored per contraction
+
+
+def _coarse_candidates(game: FiniteBayesianGame) -> list[tuple[float, list]]:
+    """The BNE_KEEP coarse-grid profiles of least exploitability, as
+    (exploitability, per-player strategies), ties kept in
+    `itertools.product` order over the (player, type) slots."""
+    grids = [np.array(simplex_grid(len(a), BNE_COARSE_STEP)) for a in game.actions]
+    shape = tuple(len(grids[i]) for i in range(game.n_players) for _ in game.types[i])
+    total = math.prod(shape)
+    bounds = np.cumsum([0] + [len(t) for t in game.types])
+
+    def stacked(flat):
+        idx = np.stack(np.unravel_index(flat, shape), axis=-1)
+        return [grids[i][idx[..., bounds[i]:bounds[i + 1]]]
+                for i in range(game.n_players)]
+
+    scores = np.concatenate([
+        best_response_gaps(game, stacked(np.arange(lo, min(lo + _GRID_CHUNK, total)))).max(-1)
+        for lo in range(0, total, _GRID_CHUNK)])
+    keep = np.argsort(scores, kind="stable")[:BNE_KEEP]
+    return [(float(scores[k]), stacked(k)) for k in keep]
+
+
+def _descend(game: FiniteBayesianGame, strats: list, val: float,
+             rho: float) -> tuple[float, list]:
+    """Hill-descend from `strats` with probability-mass steps halving from
+    BNE_COARSE_STEP down to rho: per (player, type) slot, the slot's
+    neighbours are scored in one batch and taken in turn whenever one
+    improves on the best value so far by more than 1e-12."""
+    strats = list(strats)
+    step = BNE_COARSE_STEP
+    while step > rho / 2:
+        improved = True
+        while improved:
+            improved = False
+            for i in range(game.n_players):
+                for t in range(len(game.types[i])):
+                    neighbors = _simplex_neighbors(strats[i][t], step)
+                    trials = np.repeat(strats[i][None], len(neighbors), axis=0)
+                    trials[:, t] = neighbors
+                    scored = best_response_gaps(
+                        game, strats[:i] + [trials] + strats[i + 1:]).max(-1)
+                    pick = None
+                    for k, v in enumerate(scored):
+                        if v < val - 1e-12:
+                            val, pick = float(v), k
+                    if pick is not None:
+                        strats[i] = trials[pick]
+                        improved = True
+        step /= 2.0
+    return val, strats
 
 
 def brute_force_bne(game: FiniteBayesianGame,
                     rho: float = 0.01) -> tuple[MixedStrategyProfile, dict]:
     """Grid search over strategy simplices minimizing exploitability.
 
-    A grid of step BNE_COARSE_STEP seeds the best BNE_KEEP candidates,
-    then each is hill-descended with shrinking probability-mass steps down
-    to rho. The certificate records the achieved exploitability against the
-    tolerance derived from the resolution; if the tolerance is out of
-    reach at this rho the best profile found is returned with a flag.
+    A grid of step BNE_COARSE_STEP, scored in batched contractions, seeds
+    the best BNE_KEEP candidates, then each is hill-descended with
+    shrinking probability-mass steps down to rho. The certificate records
+    the achieved exploitability against the tolerance derived from the
+    resolution; if the tolerance is out of reach at this rho the best
+    profile found is returned with a flag.
     """
     if rho <= 0 or rho > BNE_COARSE_STEP:
         raise ValueError(f"rho must lie in (0, {BNE_COARSE_STEP}]")
-    slots = _slots(game)
-    per_slot = [simplex_grid(len(game.actions[i]), BNE_COARSE_STEP) for i, _ in slots]
-
-    scored = []
-    for combo in itertools.product(*per_slot):
-        prof = _profile_from_slots(game, combo)
-        scored.append((exploitability(game, prof).max_gain, combo))
-    scored.sort(key=lambda x: x[0])
-    candidates = scored[:BNE_KEEP]
-
-    best_val, best_combo = candidates[0]
-    for start_val, combo in candidates:
-        combo = list(combo)
-        val = start_val
-        step = BNE_COARSE_STEP
-        while step > rho / 2:
-            improved = True
-            while improved:
-                improved = False
-                for s in range(len(slots)):
-                    for nb in _simplex_neighbors(combo[s], step):
-                        trial = list(combo)
-                        trial[s] = nb
-                        v = exploitability(game, _profile_from_slots(game, trial)).max_gain
-                        if v < val - 1e-12:
-                            val, combo = v, trial
-                            improved = True
-            step /= 2.0
+    candidates = _coarse_candidates(game)
+    best_val, best = candidates[0]
+    for start_val, strats in candidates:
+        val, strats = _descend(game, strats, start_val, rho)
         if val < best_val:
-            best_val, best_combo = val, combo
+            best_val, best = val, strats
 
-    profile = _profile_from_slots(game, list(best_combo))
     tolerance = 4.0 * game.r_max * rho
-    return profile, {
+    return MixedStrategyProfile(best), {
         "exploitability": float(best_val),
         "tolerance": float(tolerance),
         "resolution": float(rho),

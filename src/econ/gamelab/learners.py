@@ -15,11 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import (
+# best_response and expected_payoff are not called here; they stay
+# importable from this module, where perfbench's tracer wraps them.
+from .games import (  # noqa: F401
     FiniteBayesianGame,
     MixedStrategyProfile,
     best_response,
+    best_response_gaps,
     expected_payoff,
+    payoff_table,
 )
 
 
@@ -62,14 +66,6 @@ class RegretTrace:
                 w.writerow(row)
 
 
-def _profile_gaps(game: FiniteBayesianGame, profile: MixedStrategyProfile) -> np.ndarray:
-    gaps = np.zeros(game.n_players)
-    for i in range(game.n_players):
-        _, br_value = best_response(game, i, profile)
-        gaps[i] = max(br_value - expected_payoff(game, profile, i), 0.0)
-    return gaps
-
-
 class EconGameLearner:
     """Per-type epsilon-greedy Q-learning with eta_t = ETA0 / sqrt(t) and
     exploration max(EPS_MIN, EPS0 / sqrt(t)).
@@ -92,28 +88,27 @@ class EconGameLearner:
     def epsilon(self, t: int) -> float:
         return max(self.EPS_MIN, self.EPS0 / np.sqrt(t))
 
-    def strategy_profile(self, t: int) -> MixedStrategyProfile:
+    def _strategies(self, t: int) -> list[np.ndarray]:
+        """Per player, the epsilon-greedy (n_types, n_actions) strategy."""
         eps = self.epsilon(t)
         strats = []
-        for i in range(self.game.n_players):
-            n_a = len(self.game.actions[i])
-            s = np.full(self.q[i].shape, eps / n_a)
-            greedy = np.argmax(self.q[i], axis=1)
-            s[np.arange(s.shape[0]), greedy] += 1.0 - eps
+        for q in self.q:
+            s = np.full(q.shape, eps / q.shape[1])
+            s[np.arange(s.shape[0]), np.argmax(q, axis=1)] += 1.0 - eps
             strats.append(s)
-        return MixedStrategyProfile(strats)
+        return strats
 
     def step(self, t: int) -> tuple[tuple, np.ndarray]:
         """One interaction: returns (joint action, per-agent regret increment)."""
         if t < 1:
             raise ValueError("t must be >= 1")
-        profile = self.strategy_profile(t)
-        gaps = _profile_gaps(self.game, profile)
+        strats = self._strategies(t)
+        gaps = best_response_gaps(self.game, strats)
         theta = np.unravel_index(
             self.rng.choice(self._prior_flat.size, p=self._prior_flat),
             self.game.type_shape)
         actions = tuple(
-            int(self.rng.choice(len(self.game.actions[i]), p=profile[i][theta[i]]))
+            int(self.rng.choice(len(self.game.actions[i]), p=strats[i][theta[i]]))
             for i in range(self.game.n_players))
         payoff = self.game.payoffs[tuple(theta) + actions]
         eta = learning_rate(t)
@@ -149,35 +144,28 @@ class DebateLearner:
         n_a = len(self.game.actions[i])
         if not self.history[i]:
             return np.full(n_a, 1.0 / n_a)
-        freq = np.zeros(n_a)
-        for a in self.history[i]:
-            freq[a] += 1.0
+        freq = np.bincount(self.history[i], minlength=n_a)
         return freq / freq.sum()
 
     def _blind_best_action(self, i: int) -> int:
-        others = MixedStrategyProfile([
-            np.tile(self._empirical(j), (len(self.game.types[j]), 1))
-            for j in range(self.game.n_players)
-        ])
-        n_a = len(self.game.actions[i])
-        scores = np.empty(n_a)
-        for a in range(n_a):
-            row = np.zeros(n_a)
-            row[a] = 1.0
-            fixed = others.replace(i, np.tile(row, (len(self.game.types[i]), 1)))
-            scores[a] = expected_payoff(self.game, fixed, i)
-        return int(np.argmax(scores))
+        """The action that, played by every type of agent i, scores best
+        against the others' empirical frequencies: the argmax of the
+        payoff table's column sums."""
+        others = [np.tile(self._empirical(j), (len(self.game.types[j]), 1))
+                  for j in range(self.game.n_players)]
+        return int(np.argmax(payoff_table(self.game, others, i).sum(axis=0)))
 
     def step(self, t: int) -> tuple[tuple, np.ndarray]:
         if t < 1:
             raise ValueError("t must be >= 1")
         actions = tuple(self._blind_best_action(i)
                         for i in range(self.game.n_players))
-        profile = MixedStrategyProfile.pure(self.game, [
-            [actions[i]] * len(self.game.types[i])
-            for i in range(self.game.n_players)
-        ])
-        gaps = _profile_gaps(self.game, profile)
+        pure = []
+        for i, a in enumerate(actions):
+            s = np.zeros((len(self.game.types[i]), len(self.game.actions[i])))
+            s[:, a] = 1.0
+            pure.append(s)
+        gaps = best_response_gaps(self.game, pure)
         for i, a in enumerate(actions):
             self.history[i].append(a)
         return actions, gaps

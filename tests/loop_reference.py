@@ -5,10 +5,15 @@ batch, window position and attention head became array axes: one Python
 loop iteration per transition, per trajectory position, per agent and per
 head. `attention_params` creates attention weights in the per-head
 layout that the fused `w_qkv` replaced. `mock_generate` samples the mock
-backend's text one `Generator.choice` call per token. The equivalence
+backend's text one `Generator.choice` call per token. The game-lab
+evaluators enumerate type and action profiles with `np.ndindex` where the
+game lab now contracts one payoff table per player; `brute_force_bne`
+scores one profile per `exploitability` call, and `LoopDebateLearner`
+scores each blind action with its own `expected_payoff`. The equivalence
 tests use them as the oracle for the batched code.
 """
 
+import itertools
 import math
 import warnings
 
@@ -16,6 +21,13 @@ import numpy as np
 
 from econ.backends import Utterance, _derived_seed
 from econ.beliefs import _FrozenView
+from econ.gamelab import DebateLearner, ExploitabilityReport, MixedStrategyProfile
+from econ.gamelab.games import (
+    BNE_COARSE_STEP,
+    BNE_KEEP,
+    _simplex_neighbors,
+    simplex_grid,
+)
 from econ.kernel import Tensor, concat, stack
 
 
@@ -197,3 +209,134 @@ def assert_same_loss_and_gradients(batched_fn, reference_fn, store, tol=1e-10):
     assert abs(value - ref_value) <= tol
     for name, g in grads.items():
         np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=tol, err_msg=name)
+
+
+# -- game lab ------------------------------------------------------------------
+
+
+def expected_payoff(game, profile, i):
+    """Exact enumeration over type and action profiles."""
+    total = 0.0
+    for theta in np.ndindex(game.type_shape):
+        p_theta = game.prior[theta]
+        if p_theta == 0.0:
+            continue
+        # joint action distribution = outer product of per-player rows
+        rows = [profile[j][theta[j]] for j in range(game.n_players)]
+        joint = rows[0]
+        for r in rows[1:]:
+            joint = np.multiply.outer(joint, r)
+        total += p_theta * float((joint * game.payoffs[theta + (...,)][..., i]).sum())
+    return total
+
+
+def best_response(game, i, profile):
+    """Per type of player i, the argmax pure action by enumeration (ties to
+    the lowest index); returns (pure strategy, its ex-ante value)."""
+    n_types = len(game.types[i])
+    n_actions = len(game.actions[i])
+    br = np.zeros((n_types, n_actions))
+    value = 0.0
+    marginal = game.prior.sum(axis=tuple(j for j in range(game.n_players) if j != i))
+    for ti in range(n_types):
+        if marginal[ti] == 0.0:
+            br[ti, 0] = 1.0
+            continue
+        scores = np.zeros(n_actions)
+        for theta in np.ndindex(game.type_shape):
+            if theta[i] != ti or game.prior[theta] == 0.0:
+                continue
+            w = game.prior[theta]
+            rows = [profile[j][theta[j]] for j in range(game.n_players) if j != i]
+            pay = game.payoffs[theta + (...,)][..., i]
+            for ai in range(n_actions):
+                slab = np.take(pay, ai, axis=i)
+                joint = np.array(1.0)
+                for r in rows:
+                    joint = np.multiply.outer(joint, r)
+                scores[ai] += w * float((joint * slab).sum())
+        a_star = int(np.argmax(scores))
+        br[ti, a_star] = 1.0
+        value += scores[a_star]
+    return br, value
+
+
+def exploitability(game, profile):
+    gains = np.zeros(game.n_players)
+    for i in range(game.n_players):
+        _, br_value = best_response(game, i, profile)
+        gains[i] = max(br_value - expected_payoff(game, profile, i), 0.0)
+    return ExploitabilityReport(gains, float(gains.max()))
+
+
+def _profile_from_slots(game, slot_points):
+    strats, idx = [], 0
+    for i in range(game.n_players):
+        strats.append(np.stack(slot_points[idx:idx + len(game.types[i])]))
+        idx += len(game.types[i])
+    return MixedStrategyProfile(strats)
+
+
+def brute_force_bne(game, rho):
+    """`brute_force_bne` with one loop `exploitability` per grid profile
+    and per hill-descent trial."""
+    slots = [(i, t) for i in range(game.n_players) for t in range(len(game.types[i]))]
+    per_slot = [simplex_grid(len(game.actions[i]), BNE_COARSE_STEP) for i, _ in slots]
+    scored = [(exploitability(game, _profile_from_slots(game, combo)).max_gain, combo)
+              for combo in itertools.product(*per_slot)]
+    scored.sort(key=lambda x: x[0])
+    candidates = scored[:BNE_KEEP]
+    best_val, best_combo = candidates[0]
+    for val, combo in candidates:
+        combo = list(combo)
+        step = BNE_COARSE_STEP
+        while step > rho / 2:
+            improved = True
+            while improved:
+                improved = False
+                for s in range(len(slots)):
+                    for nb in _simplex_neighbors(combo[s], step):
+                        trial = list(combo)
+                        trial[s] = nb
+                        v = exploitability(game, _profile_from_slots(game, trial)).max_gain
+                        if v < val - 1e-12:
+                            val, combo = v, trial
+                            improved = True
+            step /= 2.0
+        if val < best_val:
+            best_val, best_combo = val, combo
+    tolerance = 4.0 * game.r_max * rho
+    return _profile_from_slots(game, list(best_combo)), {
+        "exploitability": float(best_val),
+        "tolerance": float(tolerance),
+        "resolution": float(rho),
+        "reached": bool(best_val <= tolerance),
+    }
+
+
+class LoopDebateLearner(DebateLearner):
+    """`DebateLearner` that counts its history one action at a time and
+    scores each blind action with the loop `expected_payoff`."""
+
+    def _empirical(self, i):
+        n_a = len(self.game.actions[i])
+        if not self.history[i]:
+            return np.full(n_a, 1.0 / n_a)
+        freq = np.zeros(n_a)
+        for a in self.history[i]:
+            freq[a] += 1.0
+        return freq / freq.sum()
+
+    def _blind_best_action(self, i):
+        others = MixedStrategyProfile([
+            np.tile(self._empirical(j), (len(self.game.types[j]), 1))
+            for j in range(self.game.n_players)
+        ])
+        n_a = len(self.game.actions[i])
+        scores = np.empty(n_a)
+        for a in range(n_a):
+            row = np.zeros(n_a)
+            row[a] = 1.0
+            fixed = others.replace(i, np.tile(row, (len(self.game.types[i]), 1)))
+            scores[a] = expected_payoff(self.game, fixed, i)
+        return int(np.argmax(scores))

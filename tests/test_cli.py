@@ -121,7 +121,10 @@ t0 t0 | a a = 1 -1
     (INCOMPLETE_GAME.replace("= 1 -1", "= 1 minus-one"),
      "invalid game: cannot parse payoff from 'minus-one'"),
     (None, "invalid game: cannot read"),
-], ids=["incomplete-payoffs", "non-integer-players", "non-numeric-payoff", "directory"])
+    ((INCOMPLETE_GAME + "t0 t0 | a b = -1 1\n").replace("t0 t0 = 1.0", "t0 t0 = nan"),
+     "invalid game: prior and payoffs must be finite"),
+], ids=["incomplete-payoffs", "non-integer-players", "non-numeric-payoff", "directory",
+        "nan-prior"])
 def test_game_lab_invalid_game_exits_before_writing(content, message, tmp_path, capsys):
     game = tmp_path / "bad.game"
     if content is None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from econ.gamelab import (
     DebateLearner,
     EconGameLearner,
@@ -19,6 +20,7 @@ from econ.gamelab import (
     run_econ,
     simplex_grid,
 )
+from econ.gamelab.games import best_response_gaps, payoff_table
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,39 @@ t t | a a = 0 0
     def test_profile_rows_validated(self, pennies):
         with pytest.raises(ValueError):
             MixedStrategyProfile([np.array([[0.7, 0.7]]), np.array([[0.5, 0.5]])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prior_rejected(self, pennies, bad):
+        with pytest.raises(GameFormatError, match="finite"):
+            FiniteBayesianGame("bad", pennies.types, pennies.actions,
+                               np.array([[bad]]), pennies.payoffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_payoff_rejected(self, pennies, bad):
+        payoffs = pennies.payoffs.copy()
+        payoffs[0, 0, 1, 0, 1] = bad
+        with pytest.raises(GameFormatError, match="finite"):
+            FiniteBayesianGame("bad", pennies.types, pennies.actions, pennies.prior, payoffs)
+
+    def test_nan_prior_in_file_rejected(self):
+        text = """players = 1
+[types]
+0: t
+[actions]
+0: a
+[prior]
+t = nan
+[payoffs]
+t | a = 0
+"""
+        with pytest.raises(GameFormatError, match="finite"):
+            parse_game(text)
+
+    def test_non_finite_profile_rows_rejected(self):
+        with pytest.raises(ValueError):
+            MixedStrategyProfile([np.array([[np.nan, 1.0]]), np.array([[0.5, 0.5]])])
+        with pytest.raises(ValueError):
+            MixedStrategyProfile([np.array([[np.nan, np.nan]]), np.array([[0.5, 0.5]])])
 
 
 class TestExpectedPayoff:
@@ -221,6 +256,109 @@ class TestBneOracle:
     def test_rho_validated(self, pennies):
         with pytest.raises(ValueError):
             brute_force_bne(pennies, rho=0.0)
+
+
+def uneven_three_player_game():
+    """3 players with 2 types each and 2, 3, 2 actions. Type profile
+    (0, 1, 0) has probability 0 and player 2's type 1 has marginal 0.
+    Player 0's actions 0 and 1 have the same payoffs, so its best response
+    ties exactly."""
+    rng = np.random.default_rng(7)
+    prior = rng.uniform(0.1, 1.0, size=(2, 2, 2))
+    prior[0, 1, 0] = 0.0
+    prior[:, :, 1] = 0.0
+    payoffs = rng.uniform(-1.0, 1.0, size=(2, 2, 2, 2, 3, 2, 3))
+    payoffs[..., 1, :, :, 0] = payoffs[..., 0, :, :, 0]
+    return FiniteBayesianGame(
+        "uneven", [["x", "y"]] * 3, [["a", "b"], ["a", "b", "c"], ["a", "b"]],
+        prior / prior.sum(), payoffs)
+
+
+def typed_zero_sum_game():
+    """2 players with 2 types and 3 actions each, a skewed prior and random
+    zero-sum payoffs, so a type-blind action's score depends on the prior
+    weight of every type."""
+    rng = np.random.default_rng(9)
+    prior = np.array([[0.4, 0.1], [0.2, 0.3]])
+    u = rng.uniform(-1.0, 1.0, size=(2, 2, 3, 3))
+    return FiniteBayesianGame(
+        "typed_zero_sum", [["x", "y"]] * 2, [["a", "b", "c"]] * 2, prior,
+        np.stack([u, -u], axis=-1))
+
+
+def random_profile(game, rng):
+    return MixedStrategyProfile([
+        rng.dirichlet(np.ones(len(game.actions[i])), size=len(game.types[i]))
+        for i in range(game.n_players)])
+
+
+ORACLE_GAMES = ["coordination_typed", "dominant_three", "matching_pennies",
+                "matching_pennies_typed", "uneven"]
+
+
+class TestLoopOracle:
+    """The payoff-table contraction against per-profile enumeration."""
+
+    @pytest.mark.parametrize("name", ORACLE_GAMES)
+    def test_contraction_matches_enumeration(self, name):
+        game = uneven_three_player_game() if name == "uneven" else load_shipped_game(name)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            prof = random_profile(game, rng)
+            for i in range(game.n_players):
+                assert abs(expected_payoff(game, prof, i)
+                           - ref.expected_payoff(game, prof, i)) <= 1e-12
+                br, value = best_response(game, i, prof)
+                ref_br, ref_value = ref.best_response(game, i, prof)
+                np.testing.assert_array_equal(br, ref_br)
+                assert abs(value - ref_value) <= 1e-12
+
+    def test_exact_tie_resolves_to_action_zero(self):
+        game = uneven_three_player_game()
+        prof = random_profile(game, np.random.default_rng(3))
+        q = payoff_table(game, prof, 0)
+        assert (q[:, 0] == q[:, 1]).all()
+        br, _ = best_response(game, 0, prof)
+        ref_br, _ = ref.best_response(game, 0, prof)
+        np.testing.assert_array_equal(br[:, 0], 1.0)
+        np.testing.assert_array_equal(br, ref_br)
+
+    def test_zero_marginal_type_plays_action_zero(self):
+        game = uneven_three_player_game()
+        prof = random_profile(game, np.random.default_rng(4))
+        for i in range(3):
+            br, _ = best_response(game, i, prof)
+            np.testing.assert_array_equal(br, ref.best_response(game, i, prof)[0])
+        assert best_response(game, 2, prof)[0][1, 0] == 1.0
+
+    def test_batched_gaps_match_one_profile_at_a_time(self):
+        game = uneven_three_player_game()
+        rng = np.random.default_rng(5)
+        profiles = [random_profile(game, rng) for _ in range(20)]
+        stacked = [np.stack([p[i] for p in profiles]) for i in range(game.n_players)]
+        batched = best_response_gaps(game, stacked)
+        for k, prof in enumerate(profiles):
+            np.testing.assert_allclose(batched[k], ref.exploitability(game, prof).gains,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["matching_pennies", "matching_pennies_typed",
+                                      "typed_zero_sum"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_debate_actions_match_loop_learner(self, name, seed):
+        game = typed_zero_sum_game() if name == "typed_zero_sum" else load_shipped_game(name)
+        learner = DebateLearner(game, seed=seed)
+        loop = ref.LoopDebateLearner(game, seed=seed)
+        for t in range(1, 2001):
+            assert learner.step(t)[0] == loop.step(t)[0], t
+
+    @pytest.mark.parametrize("name", ORACLE_GAMES[:4])
+    def test_bne_matches_loop_search(self, name):
+        game = load_shipped_game(name)
+        prof, cert = brute_force_bne(game, rho=0.05)
+        ref_prof, ref_cert = ref.brute_force_bne(game, rho=0.05)
+        for i in range(game.n_players):
+            np.testing.assert_array_equal(prof[i], ref_prof[i])
+        assert cert == ref_cert
 
 
 class TestSchedules:

@@ -1,4 +1,5 @@
-"""Print one JSON line of sha256 digests of training runs over mock backends.
+"""Print one JSON line of sha256 digests of training runs over mock backends
+and of game-lab outcomes.
 
 For seeds 1-3 at `RunConfig(seed=s)`, and for one run whose episode store is
 smaller than the trajectory window (`RunConfig(seed=4, buffer=4, batch=2,
@@ -22,6 +23,11 @@ change that moves losses, parameters or prompt embeddings at rounding level
 changes the other digests; if the `trajectory` digests still `cmp` equal,
 no text, reward or degenerate episode moved.
 
+The `gamelab` entry digests discrete game-lab outcomes only: per shipped
+game, the joint-action sequence of each learner that accepts the game over
+GAMELAB_STEPS steps at seed 1, and `brute_force_bne`'s profile and
+certificate at rho=0.01.
+
 The script imports `econ` from the `src/` directory next to it.
 """
 
@@ -37,9 +43,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from econ.cli import QUESTIONS, mock_backends  # noqa: E402
 from econ.config import RunConfig  # noqa: E402
+from econ.gamelab import DebateLearner, EconGameLearner, brute_force_bne, load_shipped_game  # noqa: E402
+from econ.gamelab.games import shipped_game_names  # noqa: E402
 from econ.hierarchy import HierOrchestrator  # noqa: E402
 from econ.orchestrator import Orchestrator  # noqa: E402
 
+GAMELAB_STEPS = 3000
 RUNS = {
     "seed1": dict(seed=1),
     "seed2": dict(seed=2),
@@ -114,9 +123,28 @@ def hier_digests(seed: int = 1, agents: int = 9, clusters: int = 3,
     }
 
 
+def gamelab_digests(seed: int = 1, rho: float = 0.01) -> dict:
+    """Per shipped game, digests of each accepting learner's joint actions
+    and of `brute_force_bne`'s profile and certificate."""
+    out = {}
+    for name in shipped_game_names():
+        game = load_shipped_game(name)
+        learners = {"econ": EconGameLearner}
+        if game.payoff_sum_constant() is not None:
+            learners["debate"] = DebateLearner
+        for kind, cls in learners.items():
+            learner = cls(game, seed=seed)
+            actions = [learner.step(t)[0] for t in range(1, GAMELAB_STEPS + 1)]
+            out[f"{name}.{kind}_actions"] = sha(repr(actions))
+        profile, cert = brute_force_bne(game, rho=rho)
+        out[f"{name}.bne"] = sha(repr(([s.tolist() for s in profile.strategies], cert)))
+    return out
+
+
 def main() -> int:
     digests = {name: run_digests(**over) for name, over in RUNS.items()}
     digests["hier_seed1"] = hier_digests()
+    digests["gamelab"] = gamelab_digests()
     print(json.dumps(digests, sort_keys=True))
     return 0
 
